@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import CertificateFailed
 from .geometry import (
     GridNetwork,
     MPath,
@@ -28,12 +29,6 @@ class Coloring:
 
     k: int
     classes: tuple[frozenset[int], ...]
-
-    def color_of(self, v: int) -> int:
-        for c, cls in enumerate(self.classes):
-            if v in cls:
-                return c
-        raise KeyError(v)
 
     def validate(self, ig: IntersectionGraph) -> None:
         seen: set[int] = set()
@@ -73,7 +68,8 @@ def greedy_color(ig: IntersectionGraph) -> Coloring:
     )
     out = Coloring(k, classes)
     out.validate(ig)
-    assert k <= ig.max_degree + 1
+    if k > ig.max_degree + 1:
+        raise CertificateFailed(f"{k} colors exceed max degree + 1")
     return out
 
 
@@ -90,9 +86,10 @@ def approx_solve(
     ]
     network = GridNetwork.from_paths(pairs, paths)
     network.validate(grid)
-    total_d = sum(p.distance for p in pairs)
-    assert network.total_length <= total_d
-    assert network.total_length >= max(
-        (p.distance for p in pairs), default=0
-    )
+    lo = max(p.distance for p in pairs)
+    hi = sum(p.distance for p in pairs)
+    if not lo <= network.total_length <= hi:
+        raise CertificateFailed(
+            f"length {network.total_length} outside [{lo}, {hi}]"
+        )
     return network, coloring.k, coloring.k

@@ -9,8 +9,8 @@ entry point exposes four subcommands:
     render     draw a solution as a deterministic SVG
     bench      measure solver wall times and log-log scaling slopes
 
-Exit codes: 0 success, 1 I/O or parse error, 2 unsupported instance class,
-3 a size cap was exceeded.
+Exit codes: 0 success, 1 I/O or parse error or coordinates too large
+(OverflowRisk), 2 unsupported instance class, 3 a size cap was exceeded.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .approx_coloring import approx_solve
 from .errors import (
     CapExceeded,
     GenerationFailed,
+    OverflowRisk,
     WidthCapExceeded,
     WrongClass,
 )
@@ -38,7 +39,6 @@ from .geometry import (
     Point,
     TerminalPair,
     build_hanan_grid,
-    canonical_edge,
     edge_length,
     path_edges,
 )
@@ -165,7 +165,7 @@ def parse_solution(text: str) -> SolutionFile:
     lines = text.splitlines()
     if not lines or lines[0] != SOLUTION_HEADER:
         raise FormatError("missing solution header")
-    fields: dict[str, str] = {}
+    fields: dict[str, object] = {}
     paths: list[MPath] = []
     edges: list[tuple[Point, Point]] = []
     for line in lines[1:]:
@@ -173,33 +173,40 @@ def parse_solution(text: str) -> SolutionFile:
         if key in ("solver", "total_length", "ratio", "wall_ms"):
             if key in fields:
                 raise FormatError(f"duplicate field {key}")
-            fields[key] = rest
+            fields[key] = rest if key == "solver" else _int(line, rest)
         elif key == "path":
-            toks = rest.split()
+            toks = [_int(line, tok) for tok in rest.split()]
             if len(toks) < 3 or len(toks) % 2 == 0:
                 raise FormatError(f"bad path line: {line!r}")
-            pid = int(toks[0])
             vs = tuple(
-                Point(int(toks[k]), int(toks[k + 1]))
-                for k in range(1, len(toks), 2)
+                Point(toks[k], toks[k + 1]) for k in range(1, len(toks), 2)
             )
-            paths.append(MPath(pid, vs))
+            paths.append(MPath(toks[0], vs))
         elif key == "edge":
-            ax, ay, bx, by = (int(tok) for tok in rest.split())
-            edges.append((Point(ax, ay), Point(bx, by)))
+            toks = [_int(line, tok) for tok in rest.split()]
+            if len(toks) != 4:
+                raise FormatError(f"bad edge line: {line!r}")
+            edges.append((Point(toks[0], toks[1]), Point(toks[2], toks[3])))
         else:
             raise FormatError(f"unexpected line: {line!r}")
     try:
         return SolutionFile(
             fields["solver"],
-            int(fields["total_length"]),
-            int(fields["ratio"]),
-            int(fields["wall_ms"]),
+            fields["total_length"],
+            fields["ratio"],
+            fields["wall_ms"],
             tuple(paths),
             tuple(edges),
         )
     except KeyError as exc:
         raise FormatError(f"missing field {exc.args[0]}") from exc
+
+
+def _int(line: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise FormatError(f"bad integer in line: {line!r}") from exc
 
 
 def instance_from_solution(sol: SolutionFile) -> InstanceFile:
@@ -687,18 +694,22 @@ def parse_bench(text: str) -> BenchReport:
     report = BenchReport()
     for line in lines[1:]:
         toks = line.split()
-        if toks[0] == "measure" and len(toks) == 6:
-            report.measurements.append(
-                (toks[1], toks[2], int(toks[3]), int(toks[4]), float(toks[5]))
-            )
-        elif toks[0] == "median" and len(toks) == 5:
-            report.medians.append(
-                (toks[1], toks[2], int(toks[3]), float(toks[4]))
-            )
-        elif toks[0] == "slope" and len(toks) == 4:
-            report.slopes.append((toks[1], toks[2], float(toks[3])))
-        else:
+        kind = toks[0] if toks else None
+        if {"measure": 6, "median": 5, "slope": 4}.get(kind) != len(toks):
             raise FormatError(f"unexpected line: {line!r}")
+        try:
+            if kind == "measure":
+                report.measurements.append(
+                    (toks[1], toks[2], int(toks[3]), int(toks[4]), float(toks[5]))
+                )
+            elif kind == "median":
+                report.medians.append(
+                    (toks[1], toks[2], int(toks[3]), float(toks[4]))
+                )
+            else:
+                report.slopes.append((toks[1], toks[2], float(toks[3])))
+        except ValueError as exc:
+            raise FormatError(f"bad number in line: {line!r}") from exc
     return report
 
 
@@ -818,7 +829,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, GenerationFailed) as exc:
+    except (OSError, ValueError, GenerationFailed, OverflowRisk) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

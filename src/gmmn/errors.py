@@ -53,5 +53,9 @@ class GenerationFailed(GmmnError):
     """The instance generator exhausted its retry budget."""
 
 
+class CertificateFailed(GmmnError):
+    """A solver's output does not meet the certificate it proved (a bug)."""
+
+
 class OverflowRisk(GmmnError):
     """Input coordinates are large enough that length sums could overflow."""

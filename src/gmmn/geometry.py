@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import CapExceeded, OverflowRisk
+from .errors import CapExceeded, CertificateFailed, OverflowRisk
 
 REGULAR = "regular"
 FLIPPED = "flipped"
@@ -99,9 +99,6 @@ class BoundingBox:
     def contains(self, p: Point) -> bool:
         return self.lo.x <= p.x <= self.hi.x and self.lo.y <= p.y <= self.hi.y
 
-    def contains_box(self, other: "BoundingBox") -> bool:
-        return self.contains(other.lo) and self.contains(other.hi)
-
     def intersect(self, other: "BoundingBox") -> Optional["BoundingBox"]:
         lo = join(self.lo, other.lo)
         hi = meet(self.hi, other.hi)
@@ -149,9 +146,6 @@ class SubgridWindow:
         for i in range(self.i_lo, self.i_hi + 1):
             for j in range(self.j_lo, self.j_hi + 1):
                 yield i, j
-
-    def contains_pos(self, i: int, j: int) -> bool:
-        return self.i_lo <= i <= self.i_hi and self.j_lo <= j <= self.j_hi
 
 
 @dataclass(frozen=True)
@@ -369,6 +363,25 @@ class GridNetwork:
             union.update(path_edges(path.vertices))
         total = sum(edge_length(e) for e in union)
         return cls(tuple(pairs), tuple(paths), frozenset(union), total)
+
+    @classmethod
+    def certified(
+        cls,
+        pairs: list[TerminalPair],
+        paths: list[MPath],
+        grid: HananGrid,
+        expected: int,
+    ) -> "GridNetwork":
+        """`from_paths`, validated on `grid`, whose union length must equal
+        the `expected` length the solver proved; raises CertificateFailed."""
+        network = cls.from_paths(pairs, paths)
+        network.validate(grid)
+        if network.total_length != expected:
+            raise CertificateFailed(
+                f"network length {network.total_length} differs from the"
+                f" certified {expected}"
+            )
+        return network
 
     def validate(self, grid: HananGrid) -> None:
         """Re-check every M-path and the union-length bookkeeping."""

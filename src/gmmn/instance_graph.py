@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .errors import NotATree, WidthCapExceeded
-from .geometry import HananGrid, TerminalPair
+from .geometry import TerminalPair
 
 EDGELESS = "edgeless"
 STAR = "star"
@@ -78,9 +78,7 @@ def boxes_share_grid_edge(u: TerminalPair, v: TerminalPair) -> bool:
     return inter.lo.x < inter.hi.x or inter.lo.y < inter.hi.y
 
 
-def build_intersection_graph(
-    instance: list[TerminalPair], grid: Optional[HananGrid] = None
-) -> IntersectionGraph:
+def build_intersection_graph(instance: list[TerminalPair]) -> IntersectionGraph:
     pairs = sorted(instance, key=lambda p: p.id)
     n = len(pairs)
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -91,11 +89,6 @@ def build_intersection_graph(
     adjacency = tuple(tuple(sorted(s)) for s in adj)
     tag = _classify(n, adjacency)
     return IntersectionGraph(n=n, adjacency=adjacency, class_tag=tag)
-
-
-def classify(ig: IntersectionGraph) -> str:
-    """Re-derive the class tag from adjacency."""
-    return _classify(ig.n, ig.adjacency)
 
 
 def _classify(n: int, adjacency: tuple[tuple[int, ...], ...]) -> str:
@@ -164,23 +157,18 @@ class RootedTree:
     postorder: tuple[int, ...]
 
 
-def root_tree(ig: IntersectionGraph, vertices: Optional[list[int]] = None) -> RootedTree:
-    """Root a tree-classified intersection graph (or one tree component).
+def root_tree(ig: IntersectionGraph) -> RootedTree:
+    """Root a tree-classified intersection graph.
 
     For n >= 3 the root is a non-leaf; for a star the center is the root.
     """
-    if vertices is None:
-        if ig.class_tag not in (STAR, TREE):
-            raise NotATree(f"class is {ig.class_tag}, not a tree")
-        vertices = list(range(ig.n))
-    vset = set(vertices)
-    deg = {v: sum(1 for w in ig.adjacency[v] if w in vset) for v in vertices}
-    if len(vertices) >= 3:
-        root = max(vertices, key=lambda v: (deg[v], -v))
-        if deg[root] < 2:
-            raise NotATree("no non-leaf vertex available as root")
+    if ig.class_tag not in (STAR, TREE):
+        raise NotATree(f"class is {ig.class_tag}, not a tree")
+    vertices = range(ig.n)
+    if ig.n >= 3:
+        root = max(vertices, key=lambda v: (ig.degree(v), -v))
     else:
-        root = min(vertices)
+        root = 0
     parent: dict[int, Optional[int]] = {root: None}
     children: dict[int, list[int]] = {v: [] for v in vertices}
     preorder: list[int] = []
@@ -190,13 +178,11 @@ def root_tree(ig: IntersectionGraph, vertices: Optional[list[int]] = None) -> Ro
         v = stack.pop()
         preorder.append(v)
         for w in sorted(ig.adjacency[v], reverse=True):
-            if w in vset and w not in seen:
+            if w not in seen:
                 seen.add(w)
                 parent[w] = v
                 children[v].append(w)
                 stack.append(w)
-    if len(seen) != len(vertices):
-        raise NotATree("vertex set is not connected")
     for v in children:
         children[v].sort()
     return RootedTree(

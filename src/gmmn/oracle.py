@@ -27,7 +27,8 @@ def solve_bruteforce(
     """Minimum union length over the Cartesian product of per-pair M-paths.
 
     Ties are broken toward the lexicographically smallest tuple of paths
-    (in pair-id order), which keeps recorded fixtures deterministic.
+    (in pair-id order), which keeps recorded fixtures deterministic.  The
+    network is certified against the search's minimum.
     """
     if grid is None:
         grid = build_hanan_grid(instance)
@@ -79,8 +80,5 @@ def solve_bruteforce(
                     del refcount[e]
 
     search(0, 0)
-    assert best_total is not None
     chosen = [per_pair_paths[i][k] for i, k in enumerate(best_choice)]
-    network = GridNetwork.from_paths(pairs, chosen)
-    assert network.total_length == best_total
-    return network
+    return GridNetwork.certified(pairs, chosen, grid, best_total)

@@ -280,13 +280,10 @@ def build_reduction_plan(
     )
 
 
-def _assert_forest(derived: list[TerminalPair]) -> IntersectionGraph:
-    ig = build_intersection_graph(derived)
-    if ig.class_tag not in (TREE, STAR, FOREST, EDGELESS):
-        raise ForestAssertionFailed(
-            f"derived instance classifies as {ig.class_tag}"
-        )
-    return ig
+def _assert_forest(derived: list[TerminalPair]) -> None:
+    tag = build_intersection_graph(derived).class_tag
+    if tag not in (TREE, STAR, FOREST, EDGELESS):
+        raise ForestAssertionFailed(f"derived instance classifies as {tag}")
 
 
 def _merge_chain(
@@ -326,9 +323,8 @@ def solve_pseudotree(instance: list[TerminalPair]) -> GridNetwork:
         paths = [m for m in net.paths if m.pair_id not in (split_id, new_id)]
         paths.append(merged)
         paths.sort(key=lambda m: m.pair_id)
-        out = GridNetwork.from_paths(pairs, paths)
-        out.validate(grid)
-        return out
+        # The two halves cover the split pair's path edge for edge.
+        return GridNetwork.certified(pairs, paths, grid, net.total_length)
 
     plan = build_reduction_plan(pairs, ig)
     assert plan.triples, "nondegenerate cycle must yield passage triples"
@@ -358,7 +354,4 @@ def solve_pseudotree(instance: list[TerminalPair]) -> GridNetwork:
     final = [
         MPath(m.pair_id, densify(grid, list(m.vertices))) for m in restored
     ]
-    out = GridNetwork.from_paths(pairs, final)
-    out.validate(grid)
-    assert out.total_length == best_net.total_length
-    return out
+    return GridNetwork.certified(pairs, final, grid, best_net.total_length)

@@ -29,10 +29,11 @@ The center is assumed non-flipped (callers reflect the y-axis first).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
-from .errors import Unreachable, WrongClass
+from .errors import CertificateFailed, Unreachable, WrongClass
 from .geometry import (
     DEGENERATE,
     FLIPPED,
@@ -73,46 +74,6 @@ def gamma(orientation: str, p: Point, q: Point) -> int:
     if orientation == FLIPPED:
         return max(dist_x(p, q), dist_y(p, q))
     return manhattan_distance(p, q)
-
-
-@dataclass(frozen=True)
-class BoundarySets:
-    """The four vertex classes of a gadget window (index positions)."""
-
-    v_ll: frozenset[tuple[int, int]]
-    v_ur: frozenset[tuple[int, int]]
-    v_corner: frozenset[tuple[int, int]]
-    v_interior: frozenset[tuple[int, int]]
-
-
-def boundary_sets(
-    window: SubgridWindow,
-    s_corner: Optional[Point] = None,
-    t_corner: Optional[Point] = None,
-) -> BoundarySets:
-    """Entry/exit boundary classes of a non-degenerate window.
-
-    ``s_corner``/``t_corner`` (the window's lower-left and upper-right
-    coordinates) are accepted for interface completeness; the index window
-    determines the sets.
-    """
-    del s_corner, t_corner
-    v_ll = set()
-    v_ur = set()
-    for i, j in window.positions():
-        ll = i == window.i_lo or j == window.j_lo
-        ur = i == window.i_hi or j == window.j_hi
-        if ll:
-            v_ll.add((i, j))
-        if ur:
-            v_ur.add((i, j))
-    corner = v_ll & v_ur
-    interior = {
-        pos for pos in window.positions() if pos not in v_ll and pos not in v_ur
-    }
-    return BoundarySets(
-        frozenset(v_ll), frozenset(v_ur), frozenset(corner), frozenset(interior)
-    )
 
 
 @dataclass
@@ -196,9 +157,6 @@ class AuxDag:
     def _pt(self, pos: int) -> Point:
         i, j = divmod(pos, self.b)
         return self.grid.vertex(i + self.cw.i_lo, j + self.cw.j_lo)
-
-    def _window_is_degenerate(self, w: SubgridWindow) -> bool:
-        return w.a == 1 or w.b == 1
 
     def _add_ival(
         self,
@@ -288,6 +246,8 @@ class AuxDag:
             positions = self._dense_positions(spec.window)
             for pos in positions[1:]:
                 needed.setdefault(pos, []).append(f"x{g}")
+        # copy_pos[nd - npos] is the grid position of copy node nd.
+        self.copy_pos: list[int] = []
         for pos in sorted(needed):
             roles = needed[pos]
             d = self.copies.setdefault(pos, {})
@@ -295,6 +255,7 @@ class AuxDag:
                 if role not in d:
                     d[role] = next_id
                     next_id += 1
+                    self.copy_pos.append(pos)
         self.node_count = next_id
 
     def _dense_positions(self, w: SubgridWindow) -> list[int]:
@@ -328,7 +289,7 @@ class AuxDag:
         return len(self.metas) - 1
 
     def _src_nodes(
-        self, pos: int, direction: Optional[str], g: Optional[int] = None
+        self, pos: int, direction: Optional[str], g: int
     ) -> tuple[int, ...]:
         """Source nodes for a gadget arc of gadget ``g`` leaving ``pos``.
 
@@ -337,19 +298,10 @@ class AuxDag:
         gadget's crossing at the shared position; the arc's own gadget is
         excluded, which is what blocks same-gadget claim chaining.
         """
-        if pos in self.split:
-            d = self.copies[pos]
-            if direction == "h":
-                base = (d["hor"],)
-            elif direction == "v":
-                base = (d["vert"],)
-            else:
-                base = (d["hor"], d["vert"])
-        else:
-            base = (pos,)
+        base = self._dst_nodes(pos, direction)
         d = self.copies.get(pos)
         if d:
-            own = None if g is None else f"x{g}"
+            own = f"x{g}"
             extras = tuple(
                 v
                 for role, v in sorted(d.items())
@@ -360,6 +312,7 @@ class AuxDag:
         return base
 
     def _dst_nodes(self, pos: int, direction: Optional[str]) -> tuple[int, ...]:
+        """Nodes at ``pos`` that receive an arc moving in ``direction``."""
         if pos in self.split:
             d = self.copies[pos]
             if direction == "h":
@@ -368,9 +321,6 @@ class AuxDag:
                 return (d["vert"],)
             return (d["hor"], d["vert"])
         return (pos,)
-
-    def _copy_node(self, pos: int, role: str) -> int:
-        return self.copies[pos][role]
 
     @staticmethod
     def _direction(p: Point, q: Point) -> Optional[str]:
@@ -392,9 +342,12 @@ class AuxDag:
                 self._emit_dense(g, spec)
             # DEG_UNIT is realized purely through re-weighted grid arcs.
 
+    @staticmethod
     def _boundary_lists(
-        self, w: SubgridWindow
+        w: SubgridWindow,
     ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Entry (lower-left) and exit (upper-right) boundary positions of a
+        window; the two window corners off the diagonal are in both."""
         v_ll = [(w.i_lo, j) for j in range(w.j_lo, w.j_hi + 1)] + [
             (i, w.j_lo) for i in range(w.i_lo + 1, w.i_hi + 1)
         ]
@@ -426,55 +379,46 @@ class AuxDag:
                     for t in self._dst_nodes(qpos, direction):
                         self._push_arc(s, t, length, meta)
 
-    def _axis_targets(
-        self, w: SubgridWindow, pi: int, pj: int
-    ) -> list[tuple[int, int]]:
-        """The V_ur vertices axis-aligned with an entry vertex (pi, pj)."""
-        out = []
-        if pj != w.j_hi:
-            out.append((pi, w.j_hi))
-        if pi != w.i_hi:
-            out.append((w.i_hi, pj))
-        return out
+    def _axis_crossings(self, w: SubgridWindow):
+        """Yield (entry pos, entry, exit pos, exit) for every live entry
+        vertex off the window corners and each live V_ur vertex axis-aligned
+        with it."""
+        corners = {(w.i_hi, w.j_lo), (w.i_lo, w.j_hi)}
+        for pi, pj in self._boundary_lists(w)[0]:
+            ppos = self._rel(pi, pj)
+            if (pi, pj) in corners or ppos in self.dead:
+                continue
+            targets = [(pi, w.j_hi)] if pj != w.j_hi else []
+            if pi != w.i_hi:
+                targets.append((w.i_hi, pj))
+            for qi, qj in targets:
+                qpos = self._rel(qi, qj)
+                if qpos not in self.dead:
+                    yield ppos, self._pt(ppos), qpos, self._pt(qpos)
+
+    def _ur_steps(self, w: SubgridWindow):
+        """Yield (pos, next pos, point, next point) for every live step along
+        the window's top row and right column."""
+        top = [((w.i_hi, j), (w.i_hi, j + 1)) for j in range(w.j_lo, w.j_hi)]
+        right = [((i, w.j_hi), (i + 1, w.j_hi)) for i in range(w.i_lo, w.i_hi)]
+        for q1, q2 in top + right:
+            p1, p2 = self._rel(*q1), self._rel(*q2)
+            if p1 not in self.dead and p2 not in self.dead:
+                yield p1, p2, self._pt(p1), self._pt(p2)
 
     def _emit_regular(self, g: int, spec: GadgetSpec) -> None:
-        w = spec.window
-        v_ll, _ = self._boundary_lists(w)
-        corners = {(w.i_hi, w.j_lo), (w.i_lo, w.j_hi)}
-        for pi, pj in v_ll:
-            if (pi, pj) in corners:
-                continue
-            ppos = self._rel(pi, pj)
-            if ppos in self.dead:
-                continue
-            pp = self._pt(ppos)
-            for qi, qj in self._axis_targets(w, pi, pj):
-                qpos = self._rel(qi, qj)
-                if qpos in self.dead:
-                    continue
-                qq = self._pt(qpos)
-                direction = self._direction(pp, qq)
-                meta = self._meta(g, pp, qq, K_INT)
-                for s in self._src_nodes(ppos, direction, g):
-                    for t in self._dst_nodes(qpos, direction):
-                        self._push_arc(s, t, manhattan_distance(pp, qq), meta)
-        for (q1i, q1j), (q2i, q2j) in self._ur_adjacent(w):
-            p1, p2 = self._rel(q1i, q1j), self._rel(q2i, q2j)
-            if p1 in self.dead or p2 in self.dead:
-                continue
-            a, c = self._pt(p1), self._pt(p2)
+        for ppos, pp, qpos, qq in self._axis_crossings(spec.window):
+            direction = self._direction(pp, qq)
+            meta = self._meta(g, pp, qq, K_INT)
+            for s in self._src_nodes(ppos, direction, g):
+                for t in self._dst_nodes(qpos, direction):
+                    self._push_arc(s, t, manhattan_distance(pp, qq), meta)
+        for p1, p2, a, c in self._ur_steps(spec.window):
             direction = self._direction(a, c)
             meta = self._meta(g, a, c, K_BREG)
             for s in self._src_nodes(p1, direction, g):
                 for t in self._dst_nodes(p2, direction):
                     self._push_arc(s, t, manhattan_distance(a, c), meta)
-
-    def _ur_adjacent(
-        self, w: SubgridWindow
-    ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        top = [((w.i_hi, j), (w.i_hi, j + 1)) for j in range(w.j_lo, w.j_hi)]
-        right = [((i, w.j_hi), (i + 1, w.j_hi)) for i in range(w.i_lo, w.i_hi)]
-        return top + right
 
     def _ur_copy(self, pos: int, role: str) -> Optional[int]:
         d = self.copies.get(pos)
@@ -483,36 +427,18 @@ class AuxDag:
         return d.get(role)
 
     def _emit_flipped(self, g: int, spec: GadgetSpec) -> None:
-        w = spec.window
-        v_ll, _ = self._boundary_lists(w)
-        corners = {(w.i_hi, w.j_lo), (w.i_lo, w.j_hi)}
-        for pi, pj in v_ll:
-            if (pi, pj) in corners:
+        for ppos, pp, qpos, qq in self._axis_crossings(spec.window):
+            hor = self._ur_copy(qpos, "hor")
+            vert = self._ur_copy(qpos, "vert")
+            if hor is None or vert is None:
                 continue
-            ppos = self._rel(pi, pj)
-            if ppos in self.dead:
-                continue
-            pp = self._pt(ppos)
-            for qi, qj in self._axis_targets(w, pi, pj):
-                qpos = self._rel(qi, qj)
-                if qpos in self.dead:
-                    continue
-                qq = self._pt(qpos)
-                hor = self._ur_copy(qpos, "hor")
-                vert = self._ur_copy(qpos, "vert")
-                if hor is None or vert is None:
-                    continue
-                direction = self._direction(pp, qq)
-                mh = self._meta(g, pp, qq, K_IHOR)
-                mv = self._meta(g, pp, qq, K_IVERT)
-                for s in self._src_nodes(ppos, direction, g):
-                    self._push_arc(s, hor, dist_x(pp, qq), mh)
-                    self._push_arc(s, vert, dist_y(pp, qq), mv)
-        for (q1i, q1j), (q2i, q2j) in self._ur_adjacent(w):
-            p1, p2 = self._rel(q1i, q1j), self._rel(q2i, q2j)
-            if p1 in self.dead or p2 in self.dead:
-                continue
-            a, c = self._pt(p1), self._pt(p2)
+            direction = self._direction(pp, qq)
+            mh = self._meta(g, pp, qq, K_IHOR)
+            mv = self._meta(g, pp, qq, K_IVERT)
+            for s in self._src_nodes(ppos, direction, g):
+                self._push_arc(s, hor, dist_x(pp, qq), mh)
+                self._push_arc(s, vert, dist_y(pp, qq), mv)
+        for p1, p2, a, c in self._ur_steps(spec.window):
             h1, h2 = self._ur_copy(p1, "hor"), self._ur_copy(p2, "hor")
             v1, v2 = self._ur_copy(p1, "vert"), self._ur_copy(p2, "vert")
             if None in (h1, h2, v1, v2):
@@ -522,19 +448,21 @@ class AuxDag:
 
     def _emit_dense(self, g: int, spec: GadgetSpec) -> None:
         assert spec.weight is not None
-        positions = self._dense_positions(spec.window)
-        for ki, ppos in enumerate(positions):
-            if ppos in self.dead:
-                continue
-            pp = self._pt(ppos)
-            for qpos in positions[ki + 1 :]:
-                if qpos in self.dead:
-                    continue
-                qq = self._pt(qpos)
+        live = [p for p in self._dense_positions(spec.window) if p not in self.dead]
+        if len(live) < 2:
+            return
+        pts = [self._pt(pos) for pos in live]
+        # The window is one grid line, so every arc runs the same direction.
+        direction = self._direction(pts[0], pts[1])
+        role = f"x{g}"
+        for ki, ppos in enumerate(live):
+            pp = pts[ki]
+            srcs = self._src_nodes(ppos, direction, g)
+            for qpos, qq in zip(live[ki + 1 :], pts[ki + 1 :]):
                 length = spec.weight(pp, qq)
                 meta = self._meta(g, pp, qq, K_INT)
-                dst = self._copy_node(qpos, f"x{g}")
-                for s in self._src_nodes(ppos, self._direction(pp, qq), g):
+                dst = self.copies[qpos][role]
+                for s in srcs:
                     self._push_arc(s, dst, length, meta)
 
     def _emit_intra_arcs(self) -> None:
@@ -782,13 +710,7 @@ class AuxDag:
         self, lam: list[int], nd: int
     ) -> tuple[int, Optional[int], int, Optional[int]]:
         """One predecessor achieving lam[nd]: (src, meta, length, gadget)."""
-        pos = nd if nd < self.npos else None
-        if pos is None:
-            for p, d in self.copies.items():
-                if nd in d.values():
-                    pos = p
-                    break
-        assert pos is not None
+        pos = self.node_pos(nd)
         i, j = divmod(pos, self.b)
         _, takes_h, takes_v = next(
             t for t in self._local_order(pos) if t[0] == nd
@@ -810,13 +732,11 @@ class AuxDag:
                 return s, meta, ln, None
         raise Unreachable(f"no predecessor found for node {nd}")
 
+    def node_pos(self, nd: int) -> int:
+        return nd if nd < self.npos else self.copy_pos[nd - self.npos]
+
     def node_point(self, nd: int) -> Point:
-        if nd < self.npos:
-            return self._pt(nd)
-        for p, d in self.copies.items():
-            if nd in d.values():
-                return self._pt(p)
-        raise KeyError(nd)
+        return self._pt(self.node_pos(nd))
 
     def witness(
         self,
@@ -967,24 +887,26 @@ def crossing_mode(orientation: str, c: Crossing) -> str:
 
     Returns one of ``free`` (nothing shared), ``line`` (collinear traversal,
     shared as-is), ``reg`` (the whole center portion is shared) or ``h``/``v``
-    (one horizontal/vertical segment is shared).  Asserts that the claimed
-    length matches what the mode can realize.
+    (one horizontal/vertical segment is shared).  Raises CertificateFailed
+    when the claimed length differs from what the mode can realize.
     """
     dx = dist_x(c.entry, c.exit)
     dy = dist_y(c.entry, c.exit)
     if c.claimed == 0:
         return "free"
     if dx == 0 or dy == 0:
-        assert c.claimed == dx + dy, (c, dx, dy)
-        return "line"
-    if orientation == FLIPPED:
-        if c.axis_hint == "h" or (c.axis_hint is None and dx >= dy):
-            assert c.claimed == dx, (c, dx, dy)
-            return "h"
-        assert c.claimed == dy, (c, dx, dy)
-        return "v"
-    assert c.claimed == dx + dy, (c, dx, dy)
-    return "reg"
+        mode, shared = "line", dx + dy
+    elif orientation != FLIPPED:
+        mode, shared = "reg", dx + dy
+    elif c.axis_hint == "h" or (c.axis_hint is None and dx >= dy):
+        mode, shared = "h", dx
+    else:
+        mode, shared = "v", dy
+    if c.claimed != shared:
+        raise CertificateFailed(
+            f"{c} claims {c.claimed}, its route shares {shared}"
+        )
+    return mode
 
 
 def center_portion(mode: str, c: Crossing) -> list[Point]:
@@ -1038,9 +960,10 @@ def path_through_constraint(
 def splice_center(
     waypoints: list[Point],
     crossings: list[Crossing],
-    modes: list[str],
+    portions: list[list[Point]],
 ) -> list[Point]:
-    """Insert the realized corner of each crossing into the center waypoints."""
+    """Insert each crossing's realized route (``portions[k]`` runs from the
+    entry to the exit of ``crossings[k]``) into the center waypoints."""
     out: list[Point] = []
     ci = 0
     for k, pt in enumerate(waypoints):
@@ -1051,8 +974,7 @@ def splice_center(
             and k + 1 < len(waypoints)
             and waypoints[k + 1] == crossings[ci].exit
         ):
-            portion = center_portion(modes[ci], crossings[ci])
-            out.extend(portion[1:-1])
+            out.extend(portions[ci][1:-1])
             ci += 1
     if ci != len(crossings):
         raise Unreachable("crossing entries not found on the witness path")
@@ -1078,35 +1000,50 @@ def pick_center(instance: list[TerminalPair]) -> int:
     raise Unreachable("star classification without a hub vertex")
 
 
+def gadget_style(
+    window: SubgridWindow,
+    orientation: Optional[str],
+    weight: Optional[Callable[[Point, Point], int]],
+) -> Optional[str]:
+    """Gadget style for a neighbor window; None when the window is a vertex.
+
+    ``orientation`` names the neighbor whose sharing is ``gamma`` of it, or is
+    None when only ``weight`` (arbitrary arc lengths) describes the sharing.
+    A collinear window takes DEG_UNIT for gamma sharing, which is additive
+    along a line, and DEG_DENSE otherwise.  A two-dimensional window takes
+    FULL when a ``weight`` is given and the compact gadget of the
+    orientation when not.
+    """
+    if window.a == 1 and window.b == 1:
+        return None
+    if window.a == 1 or window.b == 1:
+        return DEG_DENSE if orientation is None else DEG_UNIT
+    if weight is not None:
+        return FULL
+    return REGULAR if orientation == REGULAR else FLIPPED
+
+
 def build_leaf_gadgets(
     grid: HananGrid,
     center: TerminalPair,
     leaves: list[TerminalPair],
     simplified: bool,
 ) -> list[GadgetSpec]:
-    """One gadget per neighbor whose box overlaps the center box on an edge."""
+    """One gadget per neighbor whose box overlaps the center box on an edge.
+
+    ``simplified=False`` swaps the compact gadgets of two-dimensional windows
+    for FULL gadgets weighted by ``gamma``.
+    """
     gadgets: list[GadgetSpec] = []
     for leaf in leaves:
         box = center.box.intersect(leaf.box)
         if box is None:
             continue
         window = grid.subgrid(box)
-        if window.a == 1 and window.b == 1:
-            continue  # point contact: nothing sharable
-        if window.a == 1 or window.b == 1:
-            style, weight = DEG_UNIT, None
-        elif not simplified:
-            orientation = leaf.orientation
-
-            def weight(p: Point, q: Point, _o: str = orientation) -> int:
-                return gamma(_o, p, q)
-
-            style = FULL
-        elif leaf.orientation == REGULAR:
-            style, weight = REGULAR, None
-        else:
-            style, weight = FLIPPED, None
-        gadgets.append(GadgetSpec(leaf.id, window, style, weight))
+        weight = None if simplified else partial(gamma, leaf.orientation)
+        style = gadget_style(window, leaf.orientation, weight)
+        if style is not None:
+            gadgets.append(GadgetSpec(leaf.id, window, style, weight))
     return gadgets
 
 
@@ -1122,131 +1059,48 @@ def reflect_instance(instance: list[TerminalPair]) -> list[TerminalPair]:
     ]
 
 
-def _reflect_network_back(
-    network: GridNetwork, original: list[TerminalPair]
-) -> GridNetwork:
-    by_id = {p.id: p for p in original}
-    paths = []
-    for mp in network.paths:
-        pts = [reflect_point(v) for v in mp.vertices]
-        if pts and pts[0] != by_id[mp.pair_id].s:
-            pts.reverse()
-        paths.append(MPath(mp.pair_id, tuple(pts)))
-    pairs = sorted(original, key=lambda p: p.id)
-    return GridNetwork.from_paths(pairs, paths)
-
-
 def solve_star(
     instance: list[TerminalPair], simplified: bool = True
 ) -> GridNetwork:
     """Exact solver for instances whose intersection graph is a star.
 
+    A flipped hub is solved in the mirror image (reflected across the
+    x-axis), where it is regular, and its paths are mapped back.
     ``simplified=False`` swaps the compact per-orientation gadgets for the
     generic all-boundary-pairs construction (same answers, more arcs); it
     exists to cross-check the compact gadgets.
     """
     pairs = sorted(instance, key=lambda p: p.id)
     center_idx = pick_center(pairs)
-    if pairs[center_idx].orientation == FLIPPED:
-        mirrored = reflect_instance(pairs)
-        solved = solve_star(mirrored, simplified=simplified)
-        network = _reflect_network_back(solved, pairs)
-        grid = build_hanan_grid(pairs)
-        network.validate(grid)
-        return network
-
     grid = build_hanan_grid(pairs)
-    center = pairs[center_idx]
-    leaves = [p for k, p in enumerate(pairs) if k != center_idx]
-    gadgets = build_leaf_gadgets(grid, center, leaves, simplified)
-    dag = AuxDag(grid, center, gadgets)
-    lam = dag.forward()
-    best = dag.best_value(lam)
-    value, crossings, waypoints = dag.witness(lam)
-    assert value == best
+    mirrored = pairs[center_idx].orientation == FLIPPED
+    frame = reflect_instance(pairs) if mirrored else pairs
+    frame_grid = build_hanan_grid(frame) if mirrored else grid
+    center = frame[center_idx]
+    leaves = [p for k, p in enumerate(frame) if k != center_idx]
+    gadgets = build_leaf_gadgets(frame_grid, center, leaves, simplified)
+    dag = AuxDag(frame_grid, center, gadgets)
+    best, crossings, waypoints = dag.witness(dag.forward())
 
-    orientation_of = {p.id: p.orientation for p in pairs}
+    orientation_of = {p.id: p.orientation for p in frame}
     modes = [crossing_mode(orientation_of[c.pair_id], c) for c in crossings]
     constraints: dict[int, Optional[tuple[str, tuple[Point, ...]]]] = {}
     for c, mode in zip(crossings, modes):
         constraints[c.pair_id] = shared_constraint(mode, c)
+    portions = [center_portion(mode, c) for c, mode in zip(crossings, modes)]
 
-    center_pts = splice_center(waypoints, crossings, modes)
+    center_pts = splice_center(waypoints, crossings, portions)
     paths: list[MPath] = []
-    for pair in pairs:
+    for pair, original in zip(frame, pairs):
         if pair.id == center.id:
             pts = center_pts
         else:
             pts = path_through_constraint(pair, constraints.get(pair.id))
-        paths.append(MPath(pair.id, densify(grid, pts)))
-    network = GridNetwork.from_paths(pairs, paths)
-    network.validate(grid)
+        vertices = densify(frame_grid, pts)
+        if mirrored:
+            vertices = tuple(reflect_point(v) for v in vertices)
+            if vertices[0] != original.s:
+                vertices = vertices[::-1]
+        paths.append(MPath(pair.id, vertices))
     expected = sum(p.distance for p in pairs) - best
-    assert network.total_length == expected, (network.total_length, expected)
-    return network
-
-
-def build_simplified_dag(
-    center: TerminalPair,
-    leaves: list[tuple[TerminalPair, Optional[Callable[[Point, Point], int]]]],
-    grid: Optional[HananGrid] = None,
-) -> AuxDag:
-    """DAG over the center's subgrid with one gadget per overlapping leaf.
-
-    Each leaf comes with an optional arc-length assigner.  ``None`` selects
-    the compact per-orientation gadget, whose shared lengths are exactly
-    ``gamma``; a callable selects the generic all-boundary-pairs gadget with
-    caller-supplied interior arc lengths (the tree solvers pass table
-    differences here).  Leaves whose box misses the center box or touches it
-    in a single vertex contribute nothing.
-    """
-    pairs = [center] + [leaf for leaf, _ in leaves]
-    if grid is None:
-        grid = build_hanan_grid(pairs)
-    gadgets: list[GadgetSpec] = []
-    for leaf, assigner in leaves:
-        box = center.box.intersect(leaf.box)
-        if box is None:
-            continue
-        window = grid.subgrid(box)
-        if window.a == 1 and window.b == 1:
-            continue
-        if window.a == 1 or window.b == 1:
-            style = DEG_UNIT if assigner is None else DEG_DENSE
-        elif assigner is not None:
-            style = FULL
-        elif leaf.orientation == REGULAR:
-            style = REGULAR
-        else:
-            style = FLIPPED
-        gadgets.append(GadgetSpec(leaf.id, window, style, assigner))
-    return AuxDag(grid, center, gadgets)
-
-
-def longest_path(
-    dag: AuxDag, src: Optional[int] = None, dst: Optional[int] = None
-) -> tuple[int, list[tuple[int, int, int]]]:
-    """Longest directed path between two nodes of an auxiliary DAG.
-
-    Defaults to the source and sink of the center pair.  Returns the value
-    and one witness as (src node, dst node, length) arcs; an unreachable
-    destination yields the ``NEG`` sentinel and an empty arc list.  All-node
-    variants of the underlying sweep are available directly as
-    ``AuxDag.forward`` and ``AuxDag.backward``.
-    """
-    if src is None:
-        src = dag.source_pos
-    if dst is None:
-        dst = dag.sink_pos
-    lam = dag.forward(frozenset((src,)))
-    value = lam[dst]
-    if value == NEG:
-        return NEG, []
-    arcs: list[tuple[int, int, int]] = []
-    nd = dst
-    while not (nd == src and lam[nd] == 0):
-        prev, _meta, length, _gadget = dag._predecessor(lam, nd)
-        arcs.append((prev, nd, length))
-        nd = prev
-    arcs.reverse()
-    return value, arcs
+    return GridNetwork.certified(pairs, paths, grid, expected)

@@ -1,24 +1,29 @@
-"""Reference dynamic program for tree-shaped intersection graphs.
+"""Dynamic program for tree-shaped intersection graphs: the one driver.
 
 Each non-root pair v gets a table mapping an "in-out pair" — the entry and
 exit vertex of the parent's path through the shared window, or epsilon when
 the parent shares nothing — to the maximum total length of segments shared
 inside v's subtree.  Every cell is a longest-path query on an auxiliary DAG
 over v's subgrid whose gadgets encode the children's table differences and
-the parent crossing.  This module favors clarity over speed and serves as
-the differential-testing reference for the accelerated solver.
+the parent crossing.
+
+`prepare_tree` roots one component and fills its tables bottom-up with a
+per-node fill; `solve_forest` solves every component, realizes the paths
+top-down and certifies the total.  This module's fill, `reference_table`,
+runs one longest-path query per cell (`compute_dp_cell`); it favors clarity
+over speed and is the differential-testing reference for the bulk fill of
+``tree_dp_fast``.  `solve_tree` is the driver with the reference fill.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
-from .errors import WrongClass
+from .errors import CertificateFailed, WrongClass
 from .geometry import (
     DEGENERATE,
     FLIPPED,
-    REGULAR,
     BoundingBox,
     GridNetwork,
     HananGrid,
@@ -41,19 +46,17 @@ from .instance_graph import (
     root_tree,
 )
 from .star_dag import (
-    DEG_DENSE,
-    DEG_UNIT,
-    FULL,
     AuxDag,
-    Crossing,
     GadgetSpec,
     center_portion,
     crossing_mode,
     default_l_path,
+    gadget_style,
     path_through_constraint,
     reflect_instance,
     reflect_point,
     shared_constraint,
+    splice_center,
 )
 
 PARENT_GADGET_ID = -1
@@ -123,37 +126,65 @@ class TreeContext:
     grid: HananGrid
     tree: RootedTree
     tables: dict[int, dict[InOutPair, int]]
+    # reflected? -> (pairs, Hanan grid) in that frame, built on first use
+    views: dict[bool, tuple[list[TerminalPair], HananGrid]] = field(
+        default_factory=dict, repr=False
+    )
 
     def children(self, v: int) -> tuple[int, ...]:
         return self.tree.children[v]
+
+    def view(self, reflected: bool) -> tuple[list[TerminalPair], HananGrid]:
+        """The component's pairs and Hanan grid in the identity or the
+        y-reflected frame; every node and cell of one orientation shares it."""
+        if reflected not in self.views:
+            fpairs = reflect_instance(self.pairs) if reflected else self.pairs
+            self.views[reflected] = (fpairs, build_hanan_grid(fpairs))
+        return self.views[reflected]
 
     def eps_value(self, w: int) -> int:
         return self.tables[w][EPSILON]
 
 
-def prepare_tree(pairs: list[TerminalPair], vertices: Optional[list[int]] = None,
-                 ig: Optional[IntersectionGraph] = None) -> TreeContext:
-    """Root one tree component and fill every node's table bottom-up."""
+Table = dict[InOutPair, int]
+
+
+def reference_table(ctx: TreeContext, v: int) -> Table:
+    """One node's table, one longest-path query per cell."""
+    table = {EPSILON: compute_dp_cell(ctx, v, EPSILON)}
+    if ctx.tree.parent[v] is not None:
+        table.update(direct_cells(ctx, v))
+    return table
+
+
+def direct_cells(ctx: TreeContext, v: int) -> Table:
+    """Every parent-crossing cell of a non-root node, one query each."""
+    u = ctx.tree.parent[v]
+    keys = enumerate_inout_pairs(ctx.pairs[v], ctx.pairs[u], ctx.grid)
+    return {key: compute_dp_cell(ctx, v, key) for key in keys if not key.is_epsilon}
+
+
+def prepare_tree(
+    pairs: list[TerminalPair],
+    ig: Optional[IntersectionGraph] = None,
+    node_table: Callable[[TreeContext, int], Table] = reference_table,
+) -> TreeContext:
+    """Root one tree component and fill every node's table bottom-up.
+
+    Raises CertificateFailed when a cell falls below its epsilon cell:
+    letting the parent cross the window can only add sharing.
+    """
     if ig is None:
         ig = build_intersection_graph(pairs)
-    tree = root_tree(ig, vertices)
+    tree = root_tree(ig)
     ctx = TreeContext(sorted(pairs, key=lambda p: p.id),
                       build_hanan_grid(pairs), tree, {})
     for v in tree.postorder:
-        u = tree.parent[v]
-        if u is None:
-            ctx.tables[v] = {EPSILON: compute_dp_cell(ctx, v, EPSILON)}
-            continue
-        table: dict[InOutPair, int] = {}
-        keys = enumerate_inout_pairs(ctx.pairs[v], ctx.pairs[u], ctx.grid)
-        eps = compute_dp_cell(ctx, v, EPSILON)
-        table[EPSILON] = eps
-        for key in keys:
-            if key.is_epsilon:
-                continue
-            value = compute_dp_cell(ctx, v, key)
-            assert value >= eps, (v, key, value, eps)
-            table[key] = value
+        table = node_table(ctx, v)
+        eps = table[EPSILON]
+        low = [key for key, value in table.items() if value < eps]
+        if low:
+            raise CertificateFailed(f"node {v}: cell {low[0]} below epsilon {eps}")
         ctx.tables[v] = table
     return ctx
 
@@ -170,39 +201,16 @@ class _Frame:
     back = fwd  # the reflection is an involution
 
 
-def _parent_gadget(
-    grid_v: HananGrid, p_f: Point, q_f: Point
-) -> tuple[Optional[GadgetSpec], str]:
-    """Gadget encoding sharable length with the parent crossing (p, q).
-
-    Returns (spec or None for a point crossing, shape orientation of the
-    crossing in the node's frame).
-    """
-    shape = TerminalPair.make(PARENT_GADGET_ID, p_f, q_f).orientation
-    if p_f == q_f:
-        return None, shape
-    window = grid_v.subgrid(BoundingBox(meet(p_f, q_f), join(p_f, q_f)))
-    if window.a == 1 or window.b == 1:
-        style = DEG_UNIT
-    elif shape == REGULAR:
-        style = REGULAR
-    else:
-        style = FLIPPED
-    return GadgetSpec(PARENT_GADGET_ID, window, style, None), shape
-
-
 def _build_cell_dag(
     ctx: TreeContext, v: int, inout: InOutPair
-) -> tuple[AuxDag, int, _Frame, str, dict[int, int]]:
+) -> tuple[AuxDag, int, _Frame, str]:
     """The auxiliary DAG for one table cell, in v's normalized frame.
 
-    Returns (dag, kappa, frame, parent crossing shape, pair-id → node map).
+    Returns (dag, kappa, frame, parent crossing shape).
     """
     frame = _Frame(ctx.pairs[v].orientation == FLIPPED)
-    fpairs = reflect_instance(ctx.pairs) if frame.reflected else ctx.pairs
-    grid_v = build_hanan_grid(fpairs)
+    fpairs, grid_v = ctx.view(frame.reflected)
     center = fpairs[v]
-    node_of = {p.id: k for k, p in enumerate(ctx.pairs)}
 
     gadgets: list[GadgetSpec] = []
     kappa = 0
@@ -211,21 +219,26 @@ def _build_cell_dag(
         box = center.box.intersect(fpairs[w].box)
         assert box is not None
         window = grid_v.subgrid(box)
-        style = DEG_DENSE if (window.a == 1 or window.b == 1) else FULL
 
-        def weight(p: Point, q: Point, _w: int = w) -> int:
+        def weight(
+            p: Point, q: Point, _table=ctx.tables[w], _eps=ctx.eps_value(w)
+        ) -> int:
             key = InOutPair.make(frame.back(p), frame.back(q))
-            eps = ctx.eps_value(_w)
-            return ctx.tables[_w].get(key, eps) - eps
+            return _table.get(key, _eps) - _eps
 
-        gadgets.append(GadgetSpec(ctx.pairs[w].id, window, style, weight))
+        style = gadget_style(window, None, weight)
+        if style is not None:
+            gadgets.append(GadgetSpec(ctx.pairs[w].id, window, style, weight))
 
     shape = DEGENERATE
     if not inout.is_epsilon:
-        spec, shape = _parent_gadget(grid_v, frame.fwd(inout.p), frame.fwd(inout.q))
-        if spec is not None:
-            gadgets.append(spec)
-    return AuxDag(grid_v, center, gadgets), kappa, frame, shape, node_of
+        p_f, q_f = frame.fwd(inout.p), frame.fwd(inout.q)
+        shape = TerminalPair.make(PARENT_GADGET_ID, p_f, q_f).orientation
+        window = grid_v.subgrid(BoundingBox(meet(p_f, q_f), join(p_f, q_f)))
+        style = gadget_style(window, shape, None)
+        if style is not None:
+            gadgets.append(GadgetSpec(PARENT_GADGET_ID, window, style))
+    return AuxDag(grid_v, center, gadgets), kappa, frame, shape
 
 
 def compute_dp_cell(ctx: TreeContext, v: int, inout: InOutPair) -> int:
@@ -236,7 +249,7 @@ def compute_dp_cell(ctx: TreeContext, v: int, inout: InOutPair) -> int:
     """
     if not ctx.children(v) and inout.is_epsilon:
         return 0
-    dag, kappa, _, _, _ = _build_cell_dag(ctx, v, inout)
+    dag, kappa, _, _ = _build_cell_dag(ctx, v, inout)
     return dag.best_value(dag.forward()) + kappa
 
 
@@ -249,19 +262,20 @@ def _reconstruct(
     cell is non-epsilon — the parent's required subpath from the canonical
     in-out entry to the exit, which the caller embeds into its own path).
     """
-    dag, _, frame, shape, node_of = _build_cell_dag(ctx, v, inout)
+    dag, _, frame, shape = _build_cell_dag(ctx, v, inout)
+    node_of = {ctx.pairs[w].id: w for w in ctx.children(v)}
     lam = dag.forward()
     _, crossings, waypoints = dag.witness(lam)
 
     requirement: Optional[list[Point]] = None
-    insert: dict[int, list[Point]] = {}  # crossing index -> v-frame portion
+    portions: list[list[Point]] = []  # per crossing, in v's frame
     paths: dict[int, list[Point]] = {}
     seen_children: set[int] = set()
 
-    for k, c in enumerate(crossings):
+    for c in crossings:
         if c.pair_id == PARENT_GADGET_ID:
             mode = crossing_mode(shape, c)
-            insert[k] = center_portion(mode, c)
+            portions.append(center_portion(mode, c))
             constraint = shared_constraint(mode, c)
             pseudo = TerminalPair.make(
                 PARENT_GADGET_ID, frame.fwd(inout.p), frame.fwd(inout.q)
@@ -282,7 +296,7 @@ def _reconstruct(
         if portion[0] != c.entry:
             portion.reverse()
         assert portion[0] == c.entry and portion[-1] == c.exit
-        insert[k] = portion
+        portions.append(portion)
 
     for w in ctx.children(v):
         if w not in seen_children:
@@ -294,24 +308,7 @@ def _reconstruct(
         pseudo = TerminalPair.make(PARENT_GADGET_ID, inout.p, inout.q)
         requirement = default_l_path(pseudo)
 
-    # Splice the realized portions into the witness waypoints.
-    pts: list[Point] = []
-    ci = 0
-    for k, pt in enumerate(waypoints):
-        pts.append(pt)
-        if (
-            ci < len(crossings)
-            and pt == crossings[ci].entry
-            and k + 1 < len(waypoints)
-            and waypoints[k + 1] == crossings[ci].exit
-        ):
-            portion = insert.get(ci)
-            if portion is None:
-                portion = center_portion("line", crossings[ci])
-            pts.extend(portion[1:-1])
-            ci += 1
-    assert ci == len(crossings)
-
+    pts = splice_center(waypoints, crossings, portions)
     original = [frame.back(pt) for pt in pts]
     if original[0] != ctx.pairs[v].s:
         original.reverse()
@@ -319,34 +316,16 @@ def _reconstruct(
     return paths, requirement
 
 
-def _solve_component(
-    pairs: list[TerminalPair],
-    full_grid: HananGrid,
-    vertices: Optional[list[int]] = None,
-    ig: Optional[IntersectionGraph] = None,
-) -> tuple[list[MPath], int]:
-    if len(pairs) == 1 or (vertices is not None and len(vertices) == 1):
-        comp = pairs if vertices is None else [pairs[vertices[0]]]
-        pair = comp[0]
-        return [MPath(pair.id, densify(full_grid, default_l_path(pair)))], 0
+def solve_forest(
+    instance: list[TerminalPair],
+    prepare: Callable[[list[TerminalPair], Optional[IntersectionGraph]], TreeContext],
+) -> GridNetwork:
+    """Exact solver for forest-shaped intersection graphs.
 
-    if vertices is not None:
-        sub = sorted((pairs[k] for k in vertices), key=lambda p: p.id)
-        ctx = prepare_tree(sub, None, None)
-    else:
-        ctx = prepare_tree(pairs, None, ig)
-    root = ctx.tree.root
-    best = ctx.tables[root][EPSILON]
-    node_paths, _ = _reconstruct(ctx, root, EPSILON)
-    mpaths = [
-        MPath(ctx.pairs[v].id, densify(full_grid, pts))
-        for v, pts in sorted(node_paths.items())
-    ]
-    return mpaths, best
-
-
-def solve_tree(instance: list[TerminalPair]) -> GridNetwork:
-    """Exact solver for instances whose intersection graph is a forest."""
+    ``prepare(pairs, ig)`` roots one component and fills its tables; the
+    driver solves every component, realizes the paths top-down and
+    certifies the total against the root tables.
+    """
     pairs = sorted(instance, key=lambda p: p.id)
     ig = build_intersection_graph(pairs)
     if ig.class_tag not in (TREE, STAR, EDGELESS, FOREST):
@@ -354,17 +333,29 @@ def solve_tree(instance: list[TerminalPair]) -> GridNetwork:
             f"tree solver requires an acyclic intersection graph, got {ig.class_tag}"
         )
     grid = build_hanan_grid(pairs)
-    all_paths: list[MPath] = []
-    total_shared = 0
+    paths: list[MPath] = []
+    shared = 0
     for comp in ig.components():
-        mpaths, shared = _solve_component(
-            pairs, grid, comp if len(comp) < ig.n else None, ig
+        if len(comp) == 1:
+            pair = pairs[comp[0]]
+            paths.append(MPath(pair.id, densify(grid, default_l_path(pair))))
+            continue
+        if len(comp) < ig.n:
+            ctx = prepare([pairs[k] for k in comp], None)
+        else:
+            ctx = prepare(pairs, ig)
+        root = ctx.tree.root
+        shared += ctx.tables[root][EPSILON]
+        node_paths, _ = _reconstruct(ctx, root, EPSILON)
+        paths.extend(
+            MPath(ctx.pairs[v].id, densify(grid, pts))
+            for v, pts in sorted(node_paths.items())
         )
-        all_paths.extend(mpaths)
-        total_shared += shared
-    all_paths.sort(key=lambda m: m.pair_id)
-    network = GridNetwork.from_paths(pairs, all_paths)
-    network.validate(grid)
-    expected = sum(p.distance for p in pairs) - total_shared
-    assert network.total_length == expected, (network.total_length, expected)
-    return network
+    paths.sort(key=lambda m: m.pair_id)
+    expected = sum(p.distance for p in pairs) - shared
+    return GridNetwork.certified(pairs, paths, grid, expected)
+
+
+def solve_tree(instance: list[TerminalPair]) -> GridNetwork:
+    """Exact solver for forests, filling every cell by the reference query."""
+    return solve_forest(instance, prepare_tree)

@@ -1,13 +1,15 @@
-"""Accelerated dynamic program for tree-shaped intersection graphs.
+"""Bulk table fill for the tree dynamic program of ``tree_dp``.
 
-Table semantics are identical to the reference solver in ``tree_dp``, but a
-node's table is filled in bulk instead of one longest-path run per cell: a
-forward and a backward sweep over the node's unconstrained DAG give
-prefix/suffix values ("lambda tables"), and six closed-form recursions —
-three per parent orientation, selected by where the parent's path can enter
-and leave the node's box — produce every cell of the parent-crossing table
-from those sweeps.  Degenerate pairs and fully nested parents fall back to
-the direct per-cell computation.
+`solve_tree_fast` is the one tree driver of ``tree_dp`` (`solve_forest`,
+`prepare_tree`) run with this module's per-node fill, `fast_node_table`.
+Table semantics are identical to the reference fill, but a node's table is
+filled in bulk instead of one longest-path run per cell: a forward and a
+backward sweep over the node's unconstrained DAG give prefix/suffix values
+("lambda tables"), and six closed-form recursions — three per parent
+orientation, selected by where the parent's path can enter and leave the
+node's box — produce every cell of the parent-crossing table from those
+sweeps.  Degenerate pairs and fully nested parents fall back to the direct
+per-cell computation.
 """
 
 from __future__ import annotations
@@ -21,30 +23,24 @@ from .geometry import (
     FLIPPED,
     GridNetwork,
     HananGrid,
-    MPath,
     Point,
     TerminalPair,
-    build_hanan_grid,
-    densify,
 )
-from .instance_graph import (
-    EDGELESS,
-    FOREST,
-    STAR,
-    TREE,
-    IntersectionGraph,
-    build_intersection_graph,
-    root_tree,
-)
-from .star_dag import NEG, AuxDag, default_l_path, reflect_instance
+
+# build_intersection_graph stays bound here although this module does not
+# call it: the benchmark tracer (perfbench/) patches every gmmn namespace
+# that binds it, and its tests expect this one among them.
+from .instance_graph import IntersectionGraph, build_intersection_graph  # noqa: F401
+from .star_dag import NEG, AuxDag
 from .tree_dp import (
     EPSILON,
     InOutPair,
+    Table,
     TreeContext,
     _build_cell_dag,
-    _reconstruct,
-    compute_dp_cell,
-    enumerate_inout_pairs,
+    direct_cells,
+    prepare_tree,
+    solve_forest,
 )
 
 RA, RB, RC = "Ra", "Rb", "Rc"
@@ -104,7 +100,7 @@ def precompute_lambda_kappa(ctx: TreeContext, v: int):
     Returns (tables, frame); all geometry in the tables lives in the node's
     normalized frame (the frame reflects y when the node is flipped).
     """
-    dag, kappa, frame, _, _ = _build_cell_dag(ctx, v, EPSILON)
+    dag, kappa, frame, _ = _build_cell_dag(ctx, v, EPSILON)
     # A path may end inside a gadget exit state at the sink position, so the
     # backward sweep seeds every node there (matching witness extraction).
     sink_nodes = frozenset(dag.nodes_at(dag.sink_pos))
@@ -126,14 +122,6 @@ class CaseDescriptor:
     b: int
     pos: Callable[[int, int], Point]
     swap_lambda: bool
-
-
-@dataclass
-class OmegaTable:
-    """Auxiliary per-window sweep values of one bulk fill (1-based)."""
-
-    tag: str
-    values: list[list[int]]
 
 
 def _make_pos(
@@ -229,7 +217,7 @@ def classify_inout_case(
 Cells = list[tuple[Point, Point, int]]
 
 
-def _fill_ra(desc, lam_s, lam_t, lam_thru, kappa, eps) -> tuple[OmegaTable, Cells]:
+def _fill_ra(desc, lam_s, lam_t, lam_thru, kappa, eps) -> Cells:
     """Fixed entry at the window's origin corner, exit on the far column."""
     a, b, pos = desc.a, desc.b, desc.pos
     om = [[0] * (b + 1) for _ in range(a + 1)]
@@ -263,10 +251,10 @@ def _fill_ra(desc, lam_s, lam_t, lam_thru, kappa, eps) -> tuple[OmegaTable, Cell
     for i in range(1, a + 1):
         best = max(strict(i, j) + lam_t(pos(i, j)) for j in range(1, b + 1))
         cells.append((p11, pos(i, b), max(best + kappa, eps)))
-    return OmegaTable(desc.tag, om), cells
+    return cells
 
 
-def _fill_rb(desc, lam_s, lam_t, lam_thru, kappa, eps) -> tuple[OmegaTable, Cells]:
+def _fill_rb(desc, lam_s, lam_t, lam_thru, kappa, eps) -> Cells:
     """Entry and exit move on two adjacent sides of the window."""
     a, b, pos = desc.a, desc.b, desc.pos
 
@@ -290,7 +278,7 @@ def _fill_rb(desc, lam_s, lam_t, lam_thru, kappa, eps) -> tuple[OmegaTable, Cell
     for i in range(1, a + 1):
         for j in range(1, b + 1):
             cells.append((pos(1, j), pos(i, 1), max(om[i][j] + kappa, eps)))
-    return OmegaTable(desc.tag, om), cells
+    return cells
 
 
 def _column_crossing(desc, lam_s, lam_t, lam_thru) -> int:
@@ -309,7 +297,7 @@ def _column_crossing(desc, lam_s, lam_t, lam_thru) -> int:
     return best
 
 
-def _fill_rc(desc, lam_s, lam_t, lam_thru, kappa, eps) -> tuple[Optional[OmegaTable], Cells]:
+def _fill_rc(desc, lam_s, lam_t, lam_thru, kappa, eps) -> Cells:
     """Entry and exit move on two opposite sides spanning the node's box."""
     a, b, pos = desc.a, desc.b, desc.pos
     straight = _column_crossing(desc, lam_s, lam_t, lam_thru) + kappa
@@ -318,10 +306,10 @@ def _fill_rc(desc, lam_s, lam_t, lam_thru, kappa, eps) -> tuple[Optional[OmegaTa
         for k in range(1, j + 1):
             val = straight + _dist(pos(1, j), pos(1, k))
             cells.append((pos(1, j), pos(a, k), max(val, eps)))
-    return None, cells
+    return cells
 
 
-def _fill_fa(desc, lam_s, lam_t, lam_thru, kappa, eps) -> tuple[OmegaTable, Cells]:
+def _fill_fa(desc, lam_s, lam_t, lam_thru, kappa, eps) -> Cells:
     """Flipped parent with a fixed entry at the window's far top corner."""
     a, b, pos = desc.a, desc.b, desc.pos
     om = [[0] * (b + 1) for _ in range(a + 1)]
@@ -357,10 +345,10 @@ def _fill_fa(desc, lam_s, lam_t, lam_thru, kappa, eps) -> tuple[OmegaTable, Cell
         run_b = max(run_b, lam_s(pos(i, b)) + row[b])
         best = max(lam_s(pos(i, j)) + row[j] for j in range(1, b + 1))
         cells.append((fixed, pos(i, 1), max(max(best, run_b) + kappa, eps)))
-    return OmegaTable(desc.tag, om), cells
+    return cells
 
 
-def _fill_fb(desc, lam_s, lam_t, lam_thru, kappa, eps) -> tuple[OmegaTable, Cells]:
+def _fill_fb(desc, lam_s, lam_t, lam_thru, kappa, eps) -> Cells:
     """Flipped parent crossing two adjacent sides meeting at a terminal."""
     a, b, pos = desc.a, desc.b, desc.pos
     p11 = pos(1, 1)
@@ -381,10 +369,10 @@ def _fill_fb(desc, lam_s, lam_t, lam_thru, kappa, eps) -> tuple[OmegaTable, Cell
     for i in range(1, a + 1):
         for j in range(1, b + 1):
             cells.append((pos(1, j), pos(i, 1), max(om[i][j] + kappa, eps)))
-    return OmegaTable(desc.tag, om), cells
+    return cells
 
 
-def _fill_fc(desc, lam_s, lam_t, lam_thru, kappa, eps) -> tuple[Optional[OmegaTable], Cells]:
+def _fill_fc(desc, lam_s, lam_t, lam_thru, kappa, eps) -> Cells:
     """Flipped parent crossing two opposite sides spanning the node's box."""
     a, b, pos = desc.a, desc.b, desc.pos
     straight = _column_crossing(desc, lam_s, lam_t, lam_thru) + kappa
@@ -399,13 +387,13 @@ def _fill_fc(desc, lam_s, lam_t, lam_thru, kappa, eps) -> tuple[Optional[OmegaTa
                 # unconstrained path.  Take the better one.
                 val = max(straight, eps + _dist(pos(1, j), pos(1, k)))
             cells.append((pos(1, j), pos(a, k), max(val, eps)))
-    return None, cells
+    return cells
 
 
 _FILLS = {RA: _fill_ra, RB: _fill_rb, RC: _fill_rc, FA: _fill_fa, FB: _fill_fb, FC: _fill_fc}
 
 
-def fill_case(desc: CaseDescriptor, lt: LambdaTables) -> tuple[Optional[OmegaTable], Cells]:
+def fill_case(desc: CaseDescriptor, lt: LambdaTables) -> Cells:
     """Table cells (entry point, exit point, dp value) for one descriptor."""
     lam_s = lt.lam_bwd if desc.swap_lambda else lt.lam_fwd
     lam_t = lt.lam_fwd if desc.swap_lambda else lt.lam_bwd
@@ -420,28 +408,24 @@ def fill_case(desc: CaseDescriptor, lt: LambdaTables) -> tuple[Optional[OmegaTab
 
 def fast_node_table(
     ctx: TreeContext, v: int
-) -> tuple[dict[InOutPair, int], dict[InOutPair, str]]:
+) -> tuple[Table, dict[InOutPair, str]]:
     """One node's dp table via bulk fills, with the case tag of each cell."""
     lt, frame = precompute_lambda_kappa(ctx, v)
     eps = lt.eps_value
-    table: dict[InOutPair, int] = {EPSILON: eps}
+    table: Table = {EPSILON: eps}
     tags: dict[InOutPair, str] = {}
     u = ctx.tree.parent[v]
     if u is None:
         return table, tags
-    fpairs = reflect_instance(ctx.pairs) if frame.reflected else ctx.pairs
+    fpairs, _ = ctx.view(frame.reflected)
     try:
         descs = classify_inout_case(fpairs[v], fpairs[u], lt.dag.grid)
     except DegenerateHandledElsewhere:
-        for key in enumerate_inout_pairs(ctx.pairs[v], ctx.pairs[u], ctx.grid):
-            if key.is_epsilon:
-                continue
-            table[key] = compute_dp_cell(ctx, v, key)
-            tags[key] = DIRECT
-        return table, tags
+        direct = direct_cells(ctx, v)
+        table.update(direct)
+        return table, dict.fromkeys(direct, DIRECT)
     for desc in descs:
-        _, cells = fill_case(desc, lt)
-        for p_f, q_f, val in cells:
+        for p_f, q_f, val in fill_case(desc, lt):
             key = InOutPair.make(frame.back(p_f), frame.back(q_f))
             if key not in table or val > table[key]:
                 table[key] = val
@@ -449,69 +433,17 @@ def fast_node_table(
     return table, tags
 
 
+def _fast_table(ctx: TreeContext, v: int) -> Table:
+    return fast_node_table(ctx, v)[0]
+
+
 def prepare_tree_fast(
-    pairs: list[TerminalPair],
-    vertices: Optional[list[int]] = None,
-    ig: Optional[IntersectionGraph] = None,
+    pairs: list[TerminalPair], ig: Optional[IntersectionGraph] = None
 ) -> TreeContext:
-    """Root one tree component and bulk-fill every node's table bottom-up."""
-    if ig is None:
-        ig = build_intersection_graph(pairs)
-    tree = root_tree(ig, vertices)
-    ctx = TreeContext(sorted(pairs, key=lambda p: p.id),
-                      build_hanan_grid(pairs), tree, {})
-    for v in tree.postorder:
-        table, _ = fast_node_table(ctx, v)
-        ctx.tables[v] = table
-    return ctx
-
-
-def _solve_component_fast(
-    pairs: list[TerminalPair],
-    full_grid: HananGrid,
-    vertices: Optional[list[int]] = None,
-    ig: Optional[IntersectionGraph] = None,
-) -> tuple[list[MPath], int]:
-    if len(pairs) == 1 or (vertices is not None and len(vertices) == 1):
-        comp = pairs if vertices is None else [pairs[vertices[0]]]
-        pair = comp[0]
-        return [MPath(pair.id, densify(full_grid, default_l_path(pair)))], 0
-
-    if vertices is not None:
-        sub = sorted((pairs[k] for k in vertices), key=lambda p: p.id)
-        ctx = prepare_tree_fast(sub, None, None)
-    else:
-        ctx = prepare_tree_fast(pairs, None, ig)
-    root = ctx.tree.root
-    best = ctx.tables[root][EPSILON]
-    node_paths, _ = _reconstruct(ctx, root, EPSILON)
-    mpaths = [
-        MPath(ctx.pairs[v].id, densify(full_grid, pts))
-        for v, pts in sorted(node_paths.items())
-    ]
-    return mpaths, best
+    """`prepare_tree` with the bulk fill."""
+    return prepare_tree(pairs, ig, _fast_table)
 
 
 def solve_tree_fast(instance: list[TerminalPair]) -> GridNetwork:
     """Exact accelerated solver for forest-shaped intersection graphs."""
-    pairs = sorted(instance, key=lambda p: p.id)
-    ig = build_intersection_graph(pairs)
-    if ig.class_tag not in (TREE, STAR, EDGELESS, FOREST):
-        raise WrongClass(
-            f"tree solver requires an acyclic intersection graph, got {ig.class_tag}"
-        )
-    grid = build_hanan_grid(pairs)
-    all_paths: list[MPath] = []
-    total_shared = 0
-    for comp in ig.components():
-        mpaths, shared = _solve_component_fast(
-            pairs, grid, comp if len(comp) < ig.n else None, ig
-        )
-        all_paths.extend(mpaths)
-        total_shared += shared
-    all_paths.sort(key=lambda m: m.pair_id)
-    network = GridNetwork.from_paths(pairs, all_paths)
-    network.validate(grid)
-    expected = sum(p.distance for p in pairs) - total_shared
-    assert network.total_length == expected, (network.total_length, expected)
-    return network
+    return solve_forest(instance, prepare_tree_fast)

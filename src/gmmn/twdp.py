@@ -226,7 +226,4 @@ def solve_twdp(
     walk(decomposition.root, ())
     assert set(chosen) == {p.id for p in pairs}
     paths = [candidates[p.id][chosen[p.id]] for p in pairs]
-    network = GridNetwork.from_paths(pairs, paths)
-    network.validate(grid)
-    assert network.total_length == best, (network.total_length, best)
-    return network
+    return GridNetwork.certified(pairs, paths, grid, best)

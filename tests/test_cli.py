@@ -1,6 +1,7 @@
 """Tests for serialization, generators, dispatch, rendering, and bench."""
 
 import random
+import re
 
 import pytest
 
@@ -75,6 +76,22 @@ class TestRoundTrips:
             parse_instance("gmmn-instance 1\n")  # no pairs
         with pytest.raises(FormatError):
             parse_solution("gmmn-solution 1\nsolver x\n")  # missing fields
+        head = "gmmn-solution 1\nsolver x\ntotal_length 2\nratio 1\nwall_ms 0\n"
+        # (parser, text, the offending line the error must name)
+        bad = [
+            (parse_bench, "gmmn-bench 1\n\n", ""),
+            (parse_bench, "gmmn-bench 1\nmeasure a b ten 0 1.5\n", "measure a b ten 0 1.5"),
+            (parse_bench, "gmmn-bench 1\nmedian a b 10 fast\n", "median a b 10 fast"),
+            (parse_bench, "gmmn-bench 1\nslope a b steep\n", "slope a b steep"),
+            (parse_solution, head + "edge 0 0 1\n", "edge 0 0 1"),
+            (parse_solution, head + "edge 0 0 1 x\n", "edge 0 0 1 x"),
+            (parse_solution, head + "path 0 0 0 1 y\n", "path 0 0 0 1 y"),
+            (parse_solution, head + "path p 0 0 1 0\n", "path p 0 0 1 0"),
+            (parse_solution, head.replace("ratio 1", "ratio one"), "ratio one"),
+        ]
+        for parse, text, line in bad:
+            with pytest.raises(FormatError, match=re.escape(repr(line))):
+                parse(text)
 
     def test_validate_solution_catches_tampering(self):
         inst = generate("star", 3, 8, seed=5)
@@ -247,6 +264,14 @@ class TestMain:
         bad = tmp_path / "bad.txt"
         bad.write_text("garbage\n")
         assert main(["solve", "--input", str(bad)]) == 1
+
+    def test_overflow_risk_exits_1(self, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        inst.write_text("gmmn-instance 1\npair 0 0 1099511627776 1\n")
+        assert main(["solve", "--input", str(inst), "--output", "-"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: coordinate too large")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_bench_report_round_trips(self, tmp_path, capsys):
         out = tmp_path / "bench.txt"

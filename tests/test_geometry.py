@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from gmmn.errors import CapExceeded
+from gmmn.errors import CapExceeded, CertificateFailed
 from gmmn.geometry import (
     DEGENERATE,
     FLIPPED,
@@ -171,3 +171,24 @@ class TestGridNetwork:
         net = GridNetwork.from_paths(pairs, paths)
         assert net.total_length == 3
         net.validate(grid)
+
+    def test_certified_checks_the_expected_length(self):
+        pairs = [
+            TerminalPair.make(0, P(0, 0), P(2, 0)),
+            TerminalPair.make(1, P(1, 0), P(3, 0)),
+        ]
+        grid = build_hanan_grid(pairs)
+        paths = [
+            MPath(0, densify(grid, [P(0, 0), P(2, 0)])),
+            MPath(1, densify(grid, [P(1, 0), P(3, 0)])),
+        ]
+        net = GridNetwork.certified(pairs, paths, grid, 3)
+        assert net == GridNetwork.from_paths(pairs, paths)
+        with pytest.raises(CertificateFailed, match="differs from the certified 4"):
+            GridNetwork.certified(pairs, paths, grid, 4)
+
+    def test_certified_validates_the_paths(self):
+        pairs = [TerminalPair.make(0, P(0, 0), P(2, 1))]
+        grid = build_hanan_grid(pairs)
+        with pytest.raises(ValueError):
+            GridNetwork.certified(pairs, [MPath(0, (P(0, 0), P(2, 1)))], grid, 3)

@@ -4,24 +4,24 @@ import random
 
 import pytest
 
-from gmmn.errors import CapExceeded, WrongClass
+from gmmn.errors import CapExceeded, CertificateFailed, Unreachable, WrongClass
 from gmmn.geometry import (
     Point,
     SubgridWindow,
     TerminalPair,
     build_hanan_grid,
+    dominates,
 )
 from gmmn.instance_graph import EDGELESS, STAR, build_intersection_graph
 from gmmn.oracle import solve_bruteforce
 from gmmn.star_dag import (
+    FULL,
     NEG,
     AuxDag,
-    GadgetSpec,
-    boundary_sets,
+    Crossing,
     build_leaf_gadgets,
-    build_simplified_dag,
+    crossing_mode,
     gamma,
-    longest_path,
     solve_star,
 )
 
@@ -45,20 +45,35 @@ class TestGamma:
         assert gamma("degenerate", Point(0, 0), Point(4, 0)) == 4
 
 
+class TestCrossingMode:
+    def test_claims_must_match_the_route(self):
+        p, q = Point(0, 0), Point(2, 3)
+        assert crossing_mode("regular", Crossing(0, 1, p, q, 5, None)) == "reg"
+        assert crossing_mode("flipped", Crossing(0, 1, p, q, 3, None)) == "v"
+        for orientation, claimed in (("regular", 4), ("flipped", 5)):
+            with pytest.raises(CertificateFailed):
+                crossing_mode(orientation, Crossing(0, 1, p, q, claimed, None))
+
+
+def interior(w):
+    v_ll, v_ur = AuxDag._boundary_lists(w)
+    return set(w.positions()) - set(v_ll) - set(v_ur)
+
+
 class TestBoundarySets:
     def test_three_by_three_window(self):
-        sets = boundary_sets(SubgridWindow(0, 2, 0, 2))
-        assert len(sets.v_ll) == 5
-        assert len(sets.v_ur) == 5
-        assert len(sets.v_corner) == 2
-        assert len(sets.v_interior) == 1
-        assert sets.v_corner == frozenset({(2, 0), (0, 2)})
+        v_ll, v_ur = AuxDag._boundary_lists(SubgridWindow(0, 2, 0, 2))
+        assert len(v_ll) == len(set(v_ll)) == 5
+        assert len(v_ur) == len(set(v_ur)) == 5
+        assert set(v_ll) & set(v_ur) == {(2, 0), (0, 2)}
+        assert interior(SubgridWindow(0, 2, 0, 2)) == {(1, 1)}
 
     def test_partition_covers_window(self):
         w = SubgridWindow(0, 3, 0, 4)
-        sets = boundary_sets(w)
-        everything = sets.v_ll | sets.v_ur | sets.v_interior
-        assert everything == frozenset(w.positions())
+        v_ll, v_ur = AuxDag._boundary_lists(w)
+        everything = set(v_ll) | set(v_ur) | interior(w)
+        assert everything == set(w.positions())
+        assert len(interior(w)) == 2 * 3
 
 
 def build_star_dag(inst, simplified=True):
@@ -107,58 +122,74 @@ class TestDagStructure:
         )
         dag = build_star_dag(inst)
         w = dag.grid.subgrid(inst[1].box)
-        interior = boundary_sets(w).v_interior
-        assert len(interior) == 4
-        for i, j in interior:
+        assert len(interior(w)) == 4
+        for i, j in interior(w):
             assert dag._rel(i, j) in dag.dead
 
 
 class TestLongestPath:
     CENTER = TerminalPair.make(0, Point(0, 0), Point(10, 10))
 
+    def leaf_dag(self, leaves, simplified=True):
+        grid = build_hanan_grid([self.CENTER] + leaves)
+        gadgets = build_leaf_gadgets(grid, self.CENTER, leaves, simplified)
+        return AuxDag(grid, self.CENTER, gadgets)
+
     def test_zero_leaves_value_zero(self):
-        dag = build_simplified_dag(self.CENTER, [])
-        value, arcs = longest_path(dag)
-        assert value == 0
-        assert all(length == 0 for _, _, length in arcs)
+        dag = self.leaf_dag([])
+        lam = dag.forward()
+        value, crossings, _ = dag.witness(lam)
+        assert value == dag.best_value(lam) == 0
+        assert crossings == []
 
     def test_regular_leaf_shares_its_distance(self):
         leaf = TerminalPair.make(1, Point(2, 2), Point(6, 6))
-        dag = build_simplified_dag(self.CENTER, [(leaf, None)])
-        assert longest_path(dag)[0] == leaf.distance
+        dag = self.leaf_dag([leaf])
+        assert dag.best_value(dag.forward()) == leaf.distance
 
     def test_flipped_leaf_shares_one_axis(self):
         leaf = TerminalPair.make(1, Point(2, 6), Point(6, 2))
-        dag = build_simplified_dag(self.CENTER, [(leaf, None)])
-        assert longest_path(dag)[0] == 4
+        dag = self.leaf_dag([leaf])
+        assert dag.best_value(dag.forward()) == 4
 
     def test_custom_assigner_matches_compact_gadget(self):
         leaf = TerminalPair.make(1, Point(2, 6), Point(6, 2))
-
-        def assigner(p, q):
-            return gamma(leaf.orientation, p, q)
-
-        dag = build_simplified_dag(self.CENTER, [(leaf, assigner)])
-        assert longest_path(dag)[0] == 4
+        dag = self.leaf_dag([leaf], simplified=False)
+        (spec,) = dag.gadgets
+        assert spec.style == FULL
+        p, q = Point(2, 2), Point(6, 5)
+        assert spec.weight(p, q) == gamma(leaf.orientation, p, q)
+        assert dag.best_value(dag.forward()) == 4
 
     def test_arcs_form_a_connected_witness(self):
         leaf = TerminalPair.make(1, Point(2, 2), Point(6, 6))
-        dag = build_simplified_dag(self.CENTER, [(leaf, None)])
-        value, arcs = longest_path(dag)
-        assert arcs[0][0] == dag.source_pos
-        assert arcs[-1][1] == dag.sink_pos
-        assert sum(length for _, _, length in arcs) == value
-        for (_, a, _), (b, _, _) in zip(arcs, arcs[1:]):
-            assert a == b
+        dag = self.leaf_dag([leaf])
+        value, crossings, waypoints = dag.witness(dag.forward())
+        assert waypoints[0] == dag.node_point(dag.source_pos) == self.CENTER.s
+        assert waypoints[-1] == dag.node_point(dag.sink_pos) == self.CENTER.t
+        assert sum(c.claimed for c in crossings) == value
+        for a, b in zip(waypoints, waypoints[1:]):
+            assert a != b and dominates(a, b)
+        for c in crossings:
+            k = waypoints.index(c.entry)
+            assert waypoints[k + 1] == c.exit
 
     def test_unreachable_is_sentinel(self):
-        dag = build_simplified_dag(self.CENTER, [])
-        value, arcs = longest_path(dag, dag.sink_pos, dag.source_pos)
-        assert value == NEG and arcs == []
+        dag = self.leaf_dag([])
+        sink, source = frozenset({dag.sink_pos}), frozenset({dag.source_pos})
+        lam = dag.forward(sink)
+        assert lam[dag.source_pos] == NEG
+        with pytest.raises(Unreachable):
+            dag.witness(lam, seeds=sink, ends=source)
 
     def test_same_node_is_zero(self):
-        dag = build_simplified_dag(self.CENTER, [])
-        assert longest_path(dag, dag.source_pos, dag.source_pos) == (0, [])
+        dag = self.leaf_dag([])
+        source = frozenset({dag.source_pos})
+        lam = dag.forward(source)
+        assert lam[dag.source_pos] == 0
+        assert dag.witness(lam, seeds=source, ends=source) == (
+            0, [], [self.CENTER.s],
+        )
 
 
 class TestFrozenStarOptima:

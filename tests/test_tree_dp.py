@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gmmn.errors import CapExceeded, WrongClass
+from gmmn.errors import CapExceeded, CertificateFailed, WrongClass
 from gmmn.geometry import Point, TerminalPair, build_hanan_grid
 from gmmn.instance_graph import (
     EDGELESS,
@@ -21,6 +21,7 @@ from gmmn.tree_dp import (
     compute_dp_cell,
     enumerate_inout_pairs,
     prepare_tree,
+    reference_table,
     solve_tree,
 )
 
@@ -94,6 +95,17 @@ class TestDpTables:
             eps = table[EPSILON]
             for key, value in table.items():
                 assert value >= eps, (v, key)
+
+    def test_cell_below_epsilon_fails_the_certificate(self):
+        def broken(ctx, v):
+            table = reference_table(ctx, v)
+            if len(table) > 1:
+                key = next(k for k in table if not k.is_epsilon)
+                table[key] = table[EPSILON] - 1
+            return table
+
+        with pytest.raises(CertificateFailed, match="below epsilon"):
+            prepare_tree(make(CHAIN3), None, broken)
 
     def test_leaf_crossing_cell_matches_distance(self):
         # Regular leaf; a corner-to-corner crossing lets it share everything.

@@ -25,7 +25,7 @@ from .star_dag import default_l_path
 
 @dataclass(frozen=True)
 class Coloring:
-    """A partition of the pair ids into independent sets."""
+    """A partition of the graph's vertices into independent sets."""
 
     k: int
     classes: tuple[frozenset[int], ...]
@@ -35,13 +35,13 @@ class Coloring:
         for cls in self.classes:
             for v in cls:
                 if v in seen:
-                    raise ValueError(f"pair {v} colored twice")
+                    raise ValueError(f"vertex {v} colored twice")
                 seen.add(v)
                 for w in ig.adjacency[v]:
                     if w in cls:
-                        raise ValueError(f"adjacent pairs {v},{w} share a color")
+                        raise ValueError(f"adjacent vertices {v},{w} share a color")
         if seen != set(range(ig.n)):
-            raise ValueError("coloring does not cover every pair")
+            raise ValueError("coloring does not cover every vertex")
 
 
 def greedy_color(ig: IntersectionGraph) -> Coloring:
@@ -74,11 +74,12 @@ def greedy_color(ig: IntersectionGraph) -> Coloring:
 
 
 def approx_solve(
-    instance: list[TerminalPair],
+    instance: list[TerminalPair], ig: IntersectionGraph | None = None
 ) -> tuple[GridNetwork, int, int]:
     """Feasible network plus its coloring certificate (k, ratio bound = k)."""
-    pairs = sorted(instance, key=lambda p: p.id)
-    ig = build_intersection_graph(pairs)
+    if ig is None:
+        ig = build_intersection_graph(instance)
+    pairs = ig.pairs
     coloring = greedy_color(ig)
     grid = build_hanan_grid(pairs)
     paths = [

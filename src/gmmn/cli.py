@@ -9,8 +9,8 @@ entry point exposes four subcommands:
     render     draw a solution as a deterministic SVG
     bench      measure solver wall times and log-log scaling slopes
 
-Exit codes: 0 success, 1 I/O or parse error or coordinates too large
-(OverflowRisk), 2 unsupported instance class, 3 a size cap was exceeded.
+Exit codes: 0 success, 1 any other error (I/O, parsing, OverflowRisk or another
+solver error), 2 unsupported instance class, 3 a size or width cap exceeded.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .approx_coloring import approx_solve
-from .errors import (
-    CapExceeded,
-    GenerationFailed,
-    OverflowRisk,
-    WidthCapExceeded,
-    WrongClass,
-)
+from .errors import CapExceeded, GenerationFailed, GmmnError, WrongClass
 from .geometry import (
     GridNetwork,
     MPath,
@@ -50,6 +44,7 @@ from .instance_graph import (
     STAR,
     TF_PSEUDOTREE,
     TREE,
+    IntersectionGraph,
     build_intersection_graph,
 )
 from .oracle import solve_bruteforce
@@ -482,25 +477,36 @@ def generate(
 # ---------------------------------------------------------------------------
 
 
-def _run_oracle(pairs: list[TerminalPair], cap: Optional[int]) -> GridNetwork:
+def _run_oracle(ig: IntersectionGraph, cap: Optional[int]) -> GridNetwork:
     if cap is None:
-        return solve_bruteforce(pairs)
-    return solve_bruteforce(pairs, product_cap=cap)
+        return solve_bruteforce(ig.pairs)
+    return solve_bruteforce(ig.pairs, product_cap=cap)
 
 
-def _run_twdp(pairs: list[TerminalPair], cap: Optional[int]) -> GridNetwork:
+def _run_twdp(ig: IntersectionGraph, cap: Optional[int]) -> GridNetwork:
     if cap is None:
-        return solve_twdp(pairs)
-    return solve_twdp(pairs, entry_cap=cap)
+        return solve_twdp(ig.pairs, ig=ig)
+    return solve_twdp(ig.pairs, entry_cap=cap, ig=ig)
 
 
-SOLVERS: dict[str, Callable[[list[TerminalPair], Optional[int]], GridNetwork]] = {
-    "star": lambda pairs, cap: solve_star(pairs),
-    "tree": lambda pairs, cap: solve_tree(pairs),
-    "tree-fast": lambda pairs, cap: solve_tree_fast(pairs),
-    "pseudotree": lambda pairs, cap: solve_pseudotree(pairs),
+SOLVERS: dict[str, Callable[[IntersectionGraph, Optional[int]], GridNetwork]] = {
+    "star": lambda ig, cap: solve_star(ig.pairs, ig=ig),
+    "tree": lambda ig, cap: solve_tree(ig.pairs, ig),
+    "tree-fast": lambda ig, cap: solve_tree_fast(ig.pairs, ig),
+    "pseudotree": lambda ig, cap: solve_pseudotree(ig.pairs, ig),
     "twdp": _run_twdp,
     "oracle": _run_oracle,
+}
+
+# The cheapest exact solver each intersection-graph class admits.
+AUTO_SOLVER = {
+    EDGELESS: "star",
+    STAR: "star",
+    TREE: "tree-fast",
+    FOREST: "tree-fast",
+    CYCLE: "pseudotree",
+    TF_PSEUDOTREE: "pseudotree",
+    GENERAL: "twdp",
 }
 
 ALGORITHMS = ("auto",) + tuple(SOLVERS) + ("approx",)
@@ -513,26 +519,22 @@ def dispatch(
 ) -> tuple[str, GridNetwork, int, Optional[str]]:
     """Solve with the named algorithm; returns (name, network, ratio, warning).
 
+    The intersection graph is built once here and handed to the solver.
     `auto` picks the cheapest exact solver the instance's class admits and
-    falls back to the coloring approximation (with a warning) when the
-    treewidth DP blows its cap.
+    falls back to the coloring approximation (with a warning) when that
+    solver blows a cap.
     """
+    ig = build_intersection_graph(pairs)
     if algorithm == "approx":
-        network, k, ratio = approx_solve(pairs)
+        network, k, ratio = approx_solve(pairs, ig)
         return "approx", network, ratio, None
-    if algorithm != "auto":
-        return algorithm, SOLVERS[algorithm](pairs, cap), 1, None
-    tag = build_intersection_graph(pairs).class_tag
-    if tag in (EDGELESS, STAR):
-        return "star", solve_star(pairs), 1, None
-    if tag in (TREE, FOREST):
-        return "tree-fast", solve_tree_fast(pairs), 1, None
-    if tag in (CYCLE, TF_PSEUDOTREE):
-        return "pseudotree", solve_pseudotree(pairs), 1, None
+    name = AUTO_SOLVER[ig.class_tag] if algorithm == "auto" else algorithm
     try:
-        return "twdp", _run_twdp(pairs, cap), 1, None
-    except (CapExceeded, WidthCapExceeded) as exc:
-        network, k, ratio = approx_solve(pairs)
+        return name, SOLVERS[name](ig, cap), 1, None
+    except CapExceeded as exc:
+        if algorithm != "auto":
+            raise
+        network, k, ratio = approx_solve(pairs, ig)
         warning = (
             f"exact solve unavailable ({exc}); falling back to the"
             f" {k}-coloring approximation (length <= {ratio} x optimum)"
@@ -829,7 +831,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, GenerationFailed, OverflowRisk) as exc:
+    except (OSError, ValueError, GmmnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

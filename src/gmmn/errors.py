@@ -13,6 +13,10 @@ class CandidateCapExceeded(CapExceeded):
     """Candidate M-path enumeration for the treewidth DP is too large."""
 
 
+class WidthCapExceeded(CapExceeded):
+    """No tree decomposition within the requested width cap was found."""
+
+
 class WrongClass(GmmnError):
     """A solver was invoked on an instance outside its supported class."""
 
@@ -27,10 +31,6 @@ class NotAPseudotree(WrongClass):
 
 class TriangleFound(WrongClass):
     """The pseudotree cycle is a triangle, which the reduction cannot handle."""
-
-
-class WidthCapExceeded(GmmnError):
-    """No tree decomposition within the requested width cap was found."""
 
 
 class NoInteriorSplitPoint(GmmnError):

@@ -7,6 +7,7 @@ touching only at a corner point are NOT adjacent.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
@@ -21,13 +22,37 @@ CYCLE = "cycle"
 TF_PSEUDOTREE = "triangle-free-pseudotree"
 FOREST = "forest"
 GENERAL = "general"
+# The classes without a cycle: what the tree dp solves.
+ACYCLIC = (EDGELESS, STAR, TREE, FOREST)
 
 
 @dataclass(frozen=True)
 class IntersectionGraph:
+    """Vertex k is ``pairs[k]``, the k-th pair in id order (ids need not be 0..n-1)."""
+
     n: int
     adjacency: tuple[tuple[int, ...], ...]
     class_tag: str
+    pairs: tuple[TerminalPair, ...] = ()
+
+    def vertex(self, pair_id: int) -> int:
+        """The vertex of a pair id, by binary search over the id order."""
+        k = bisect_left(self.pairs, pair_id, key=lambda p: p.id)
+        if k == self.n or self.pairs[k].id != pair_id:
+            raise KeyError(pair_id)
+        return k
+
+    def induced(self, vertices: list[int]) -> IntersectionGraph:
+        """The subgraph on ascending ``vertices``, renumbered in that order."""
+        index = {v: k for k, v in enumerate(vertices)}
+        adjacency = tuple(
+            tuple(index[w] for w in self.adjacency[v] if w in index)
+            for v in vertices
+        )
+        pairs = tuple(self.pairs[v] for v in vertices)
+        return IntersectionGraph(
+            len(pairs), adjacency, _classify(len(pairs), adjacency), pairs
+        )
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -79,7 +104,8 @@ def boxes_share_grid_edge(u: TerminalPair, v: TerminalPair) -> bool:
 
 
 def build_intersection_graph(instance: list[TerminalPair]) -> IntersectionGraph:
-    pairs = sorted(instance, key=lambda p: p.id)
+    """The classified graph of an instance, its vertices in pair-id order."""
+    pairs = tuple(sorted(instance, key=lambda p: p.id))
     n = len(pairs)
     adj: list[set[int]] = [set() for _ in range(n)]
     for a, b in combinations(range(n), 2):
@@ -87,8 +113,7 @@ def build_intersection_graph(instance: list[TerminalPair]) -> IntersectionGraph:
             adj[a].add(b)
             adj[b].add(a)
     adjacency = tuple(tuple(sorted(s)) for s in adj)
-    tag = _classify(n, adjacency)
-    return IntersectionGraph(n=n, adjacency=adjacency, class_tag=tag)
+    return IntersectionGraph(n, adjacency, _classify(n, adjacency), pairs)
 
 
 def _classify(n: int, adjacency: tuple[tuple[int, ...], ...]) -> str:
@@ -206,7 +231,7 @@ class DecompNode:
     kind: str
     bag: frozenset[int]
     children: tuple[int, ...]
-    vertex: Optional[int] = None  # introduced/forgotten pair id
+    vertex: Optional[int] = None  # introduced/forgotten vertex
 
 
 @dataclass(frozen=True)

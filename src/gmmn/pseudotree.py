@@ -34,13 +34,10 @@ from .geometry import (
     densify,
 )
 from .instance_graph import (
+    ACYCLIC,
     CYCLE,
-    EDGELESS,
-    FOREST,
     GENERAL,
-    STAR,
     TF_PSEUDOTREE,
-    TREE,
     IntersectionGraph,
     build_intersection_graph,
     find_cycle,
@@ -123,20 +120,18 @@ def cut_degenerate_cycle(
 ) -> Optional[tuple[list[TerminalPair], int, int]]:
     """Split a degenerate cycle pair so the intersection graph loses its cycle.
 
-    Returns (new instance, split pair id, added pair id) or None when the
-    cycle has no degenerate pair.  The split point is the end of the first
-    cycle neighbor's overlap, so the two halves meet only at a point, each
-    half keeps exactly one of the neighbors, and no other neighbor spans
-    the cut; total distance is preserved by collinearity.
+    ``cycle`` lists vertices of ``ig``, the graph of ``pairs``.  Returns (new
+    instance, split pair id, added pair id) or None when the cycle has no
+    degenerate pair.  The split point is the end of the first cycle
+    neighbor's overlap, so the two halves meet only at a point, each half
+    keeps exactly one of the neighbors, and no other neighbor spans the cut;
+    total distance is preserved by collinearity.
     """
-    by_id = {p.id: p for p in pairs}
-    pos = {v: k for k, v in enumerate(cycle)}
-    for v in cycle:
-        pair = by_id[v]
+    for k, v in enumerate(cycle):
+        pair = ig.pairs[v]
         if pair.orientation != DEGENERATE or pair.s == pair.t:
             continue
-        k = pos[v]
-        u1, u2 = by_id[cycle[k - 1]], by_id[cycle[(k + 1) % len(cycle)]]
+        u1, u2 = ig.pairs[cycle[k - 1]], ig.pairs[cycle[(k + 1) % len(cycle)]]
         o1 = pair.box.intersect(u1.box)
         o2 = pair.box.intersect(u2.box)
         assert o1 is not None and o2 is not None
@@ -152,14 +147,14 @@ def cut_degenerate_cycle(
         seg_hi = max(pair.s.y, pair.t.y) if vertical else max(pair.s.x, pair.t.x)
         if not seg_lo < cut < seg_hi:
             raise NoInteriorSplitPoint(
-                f"no interior grid vertex on pair {v} at {cut}"
+                f"no interior grid vertex on pair {pair.id} at {cut}"
             )
         q = Point(pair.s.x, cut) if vertical else Point(cut, pair.s.y)
         new_id = max(p.id for p in pairs) + 1
-        out = [p for p in pairs if p.id != v]
-        out.append(TerminalPair.make(v, pair.s, q))
+        out = [p for p in pairs if p.id != pair.id]
+        out.append(TerminalPair.make(pair.id, pair.s, q))
         out.append(TerminalPair.make(new_id, q, pair.t))
-        return out, v, new_id
+        return out, pair.id, new_id
     return None
 
 
@@ -195,11 +190,11 @@ def build_reduction_plan(
     pairs: list[TerminalPair], ig: Optional[IntersectionGraph] = None
 ) -> ReductionPlan:
     """Normalize one cycle pair and enumerate all of its passage triples."""
-    pairs = sorted(pairs, key=lambda p: p.id)
     if ig is None:
         ig = build_intersection_graph(pairs)
-    if ig.class_tag in (TREE, STAR, FOREST, EDGELESS):
-        return ReductionPlan(tuple(pairs), (), None, 0, 0, (), (), ())
+    pairs = ig.pairs
+    if ig.class_tag in ACYCLIC:
+        return ReductionPlan(pairs, (), None, 0, 0, (), (), ())
     if ig.class_tag not in (CYCLE, TF_PSEUDOTREE):
         if (
             ig.class_tag == GENERAL
@@ -210,11 +205,10 @@ def build_reduction_plan(
             raise TriangleFound("the unique cycle is a triangle")
         raise NotAPseudotree(f"class is {ig.class_tag}")
 
+    # v, u1 and u2 are vertices: positions in ``pairs`` and in ``cur``.
     cycle = find_cycle(ig.adjacency)
-    by_id = {p.id: p for p in pairs}
-    v = next(w for w in cycle if by_id[w].orientation != DEGENERATE)
-    k = cycle.index(v)
-    u1_id, u2_id = cycle[k - 1], cycle[(k + 1) % len(cycle)]
+    k = next(i for i, w in enumerate(cycle) if pairs[w].orientation != DEGENERATE)
+    v, u1, u2 = cycle[k], cycle[k - 1], cycle[(k + 1) % len(cycle)]
 
     steps: list[str] = []
     cur = list(pairs)
@@ -223,34 +217,27 @@ def build_reduction_plan(
         steps.append(name)
         cur[:] = _apply(cur, name)
 
-    if by_id[v].orientation == FLIPPED:
+    if pairs[v].orientation == FLIPPED:
         step("reflect_y")
 
-    def geom():
-        pv = next(p for p in cur if p.id == v)
-        b1 = next(p for p in cur if p.id == u1_id).box
-        b2 = next(p for p in cur if p.id == u2_id).box
-        return pv, b1, b2
-
-    pv, b1, b2 = geom()
+    b1, b2 = cur[u1].box, cur[u2].box
     if not (b1.hi.x <= b2.lo.x or b2.hi.x <= b1.lo.x):
         if b1.hi.y <= b2.lo.y or b2.hi.y <= b1.lo.y:
             step("transpose")
-            pv, b1, b2 = geom()
+            b1, b2 = cur[u1].box, cur[u2].box
         else:
             raise NotAPseudotree("cycle neighbors are not separable")
     if b2.hi.x <= b1.lo.x:
-        u1_id, u2_id = u2_id, u1_id
-        b1, b2 = b2, b1
+        u1, u2 = u2, u1
 
     def window():
-        pv, b1, b2 = geom()
+        box = cur[v].box
         grid = build_hanan_grid(cur)
-        w = grid.subgrid(pv.box)
+        w = grid.subgrid(box)
         xs = [grid.xs[j] for j in range(w.j_lo, w.j_hi + 1)]
         ys = [grid.ys[i] for i in range(w.i_lo, w.i_hi + 1)]
-        o1 = pv.box.intersect(b1)
-        o2 = pv.box.intersect(b2)
+        o1 = box.intersect(cur[u1].box)
+        o2 = box.intersect(cur[u2].box)
         assert o1 is not None and o2 is not None
         beta = xs.index(o1.hi.x) + 1
         alpha = ys.index(min(o1.hi.y, o2.hi.y)) + 1
@@ -259,7 +246,7 @@ def build_reduction_plan(
     xs, ys, alpha, beta = window()
     if alpha == len(ys) and beta == len(xs):
         step("rotate")
-        u1_id, u2_id = u2_id, u1_id
+        u1, u2 = u2, u1
         xs, ys, alpha, beta = window()
         assert not (alpha == len(ys) and beta == len(xs))
 
@@ -276,35 +263,38 @@ def build_reduction_plan(
     for j in range(1, beta + 1):
         triples.extend(_passages_vert(pt, alpha, j, a, b))
     return ReductionPlan(
-        tuple(cur), tuple(steps), v, alpha, beta, x_hor, x_vert, tuple(triples)
+        tuple(cur), tuple(steps), cur[v].id, alpha, beta, x_hor, x_vert, tuple(triples)
     )
 
 
-def _assert_forest(derived: list[TerminalPair]) -> None:
-    tag = build_intersection_graph(derived).class_tag
-    if tag not in (TREE, STAR, FOREST, EDGELESS):
-        raise ForestAssertionFailed(f"derived instance classifies as {tag}")
+def _assert_forest(derived: list[TerminalPair]) -> IntersectionGraph:
+    """The derived instance's graph, which must be a forest."""
+    ig = build_intersection_graph(derived)
+    if ig.class_tag not in ACYCLIC:
+        raise ForestAssertionFailed(f"derived instance classifies as {ig.class_tag}")
+    return ig
 
 
-def _merge_chain(
-    network: GridNetwork, chain_ids: list[int], target: TerminalPair
-) -> MPath:
-    """Concatenate the four sub-pair paths back into one M-path."""
+def _merge_chain(network: GridNetwork, chain_ids: list[int]) -> MPath:
+    """Concatenate the sub-pair paths back into one M-path of the first id."""
     by_id = {m.pair_id: m for m in network.paths}
     points: list[Point] = []
     for k in chain_ids:
         vs = by_id[k].vertices
         points.extend(vs if not points else vs[1:] if vs[0] == points[-1] else vs)
-    return MPath(target.id, tuple(points))
+    return MPath(chain_ids[0], tuple(points))
 
 
-def solve_pseudotree(instance: list[TerminalPair]) -> GridNetwork:
+def solve_pseudotree(
+    instance: list[TerminalPair], ig: Optional[IntersectionGraph] = None
+) -> GridNetwork:
     """Exact solver when the intersection graph has at most one cycle
     (triangle-free); acyclic inputs pass straight to the tree solver."""
-    pairs = sorted(instance, key=lambda p: p.id)
-    ig = build_intersection_graph(pairs)
-    if ig.class_tag in (TREE, STAR, FOREST, EDGELESS):
-        return solve_tree_fast(pairs)
+    if ig is None:
+        ig = build_intersection_graph(instance)
+    pairs = ig.pairs
+    if ig.class_tag in ACYCLIC:
+        return solve_tree_fast(pairs, ig)
     if ig.class_tag not in (CYCLE, TF_PSEUDOTREE):
         raise WrongClass(
             f"pseudotree solver cannot handle class {ig.class_tag}"
@@ -312,46 +302,29 @@ def solve_pseudotree(instance: list[TerminalPair]) -> GridNetwork:
 
     grid = build_hanan_grid(pairs)
     cycle = find_cycle(ig.adjacency)
-    by_id = {p.id: p for p in pairs}
 
     cut = cut_degenerate_cycle(pairs, cycle, ig)
     if cut is not None:
-        derived, split_id, new_id = cut
-        _assert_forest(derived)
-        net = solve_tree_fast(derived)
-        merged = _merge_chain(net, [split_id, new_id], by_id[split_id])
-        paths = [m for m in net.paths if m.pair_id not in (split_id, new_id)]
-        paths.append(merged)
-        paths.sort(key=lambda m: m.pair_id)
         # The two halves cover the split pair's path edge for edge.
-        return GridNetwork.certified(pairs, paths, grid, net.total_length)
+        derived, split_id, new_id = cut
+        best_net = solve_tree_fast(derived, _assert_forest(derived))
+        chain_ids, steps = [split_id, new_id], ()
+    else:
+        plan = build_reduction_plan(pairs, ig)
+        assert plan.triples, "nondegenerate cycle must yield passage triples"
+        derived = [plan.derived_instance(triple) for triple in plan.triples]
+        nets = (solve_tree_fast(d, _assert_forest(d)) for d in derived)
+        best_net = min(nets, key=lambda net: net.total_length)
+        base = max(p.id for p in plan.pairs) + 1
+        chain_ids, steps = [plan.v, base, base + 1, base + 2], plan.steps
 
-    plan = build_reduction_plan(pairs, ig)
-    assert plan.triples, "nondegenerate cycle must yield passage triples"
-    best_net: Optional[GridNetwork] = None
-    best_triple: Optional[PassageTriple] = None
-    for triple in plan.triples:
-        derived = plan.derived_instance(triple)
-        _assert_forest(derived)
-        net = solve_tree_fast(derived)
-        if best_net is None or net.total_length < best_net.total_length:
-            best_net, best_triple = net, triple
-
-    assert best_net is not None and best_triple is not None
-    base = max(p.id for p in plan.pairs) + 1
-    chain_ids = [plan.v, base, base + 1, base + 2]
-    pv = next(p for p in plan.pairs if p.id == plan.v)
-    merged = _merge_chain(best_net, chain_ids, pv)
     paths = [m for m in best_net.paths if m.pair_id not in chain_ids]
-    paths.append(merged)
+    paths.append(_merge_chain(best_net, chain_ids))
     # Undo the normalization maps on every vertex.
-    restored = []
-    for m in sorted(paths, key=lambda m: m.pair_id):
-        vs = tuple(_invert_point(p, plan.steps) for p in m.vertices)
-        if vs and vs[0] != by_id[m.pair_id].s:
+    final = []
+    for pair, m in zip(pairs, sorted(paths, key=lambda m: m.pair_id)):
+        vs = tuple(_invert_point(p, steps) for p in m.vertices)
+        if vs and vs[0] != pair.s:
             vs = vs[::-1]
-        restored.append(MPath(m.pair_id, vs))
-    final = [
-        MPath(m.pair_id, densify(grid, list(m.vertices))) for m in restored
-    ]
+        final.append(MPath(m.pair_id, densify(grid, list(vs))))
     return GridNetwork.certified(pairs, final, grid, best_net.total_length)

@@ -50,6 +50,7 @@ from .geometry import (
     dist_y,
     manhattan_distance,
 )
+from .instance_graph import EDGELESS, STAR, IntersectionGraph, build_intersection_graph
 
 NEG = -(1 << 62)
 
@@ -80,7 +81,7 @@ def gamma(orientation: str, p: Point, q: Point) -> int:
 class GadgetSpec:
     """One neighbor window attached to the center's DAG."""
 
-    pair_id: int
+    pair_id: int  # the neighbor's label: its pair id, or its vertex in the tree dp
     window: SubgridWindow  # absolute indices into the instance grid
     style: str  # FULL / REGULAR / FLIPPED / DEG_UNIT / DEG_DENSE
     weight: Optional[Callable[[Point, Point], int]] = None
@@ -981,23 +982,17 @@ def splice_center(
     return out
 
 
-def pick_center(instance: list[TerminalPair]) -> int:
-    """Index (in id-sorted order) of the hub pair of a star instance."""
-    from .instance_graph import EDGELESS, STAR, build_intersection_graph
-
-    pairs = sorted(instance, key=lambda p: p.id)
-    ig = build_intersection_graph(pairs)
-    if ig.class_tag == EDGELESS:
-        return 0
-    if ig.class_tag != STAR:
+def pick_center(
+    instance: list[TerminalPair], ig: Optional[IntersectionGraph] = None
+) -> int:
+    """Vertex of the hub pair of a star instance: the first of largest degree."""
+    if ig is None:
+        ig = build_intersection_graph(instance)
+    if ig.class_tag not in (STAR, EDGELESS):
         raise WrongClass(
             f"star solver requires a star intersection graph, got {ig.class_tag}"
         )
-    hub_degree = ig.n - 1
-    for idx in range(ig.n):
-        if ig.degree(idx) == hub_degree:
-            return idx
-    raise Unreachable("star classification without a hub vertex")
+    return max(range(ig.n), key=lambda v: (ig.degree(v), -v))
 
 
 def gadget_style(
@@ -1060,7 +1055,9 @@ def reflect_instance(instance: list[TerminalPair]) -> list[TerminalPair]:
 
 
 def solve_star(
-    instance: list[TerminalPair], simplified: bool = True
+    instance: list[TerminalPair],
+    simplified: bool = True,
+    ig: Optional[IntersectionGraph] = None,
 ) -> GridNetwork:
     """Exact solver for instances whose intersection graph is a star.
 
@@ -1070,8 +1067,10 @@ def solve_star(
     generic all-boundary-pairs construction (same answers, more arcs); it
     exists to cross-check the compact gadgets.
     """
-    pairs = sorted(instance, key=lambda p: p.id)
-    center_idx = pick_center(pairs)
+    if ig is None:
+        ig = build_intersection_graph(instance)
+    pairs = ig.pairs
+    center_idx = pick_center(pairs, ig)
     grid = build_hanan_grid(pairs)
     mirrored = pairs[center_idx].orientation == FLIPPED
     frame = reflect_instance(pairs) if mirrored else pairs

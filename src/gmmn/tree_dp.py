@@ -36,10 +36,7 @@ from .geometry import (
     meet,
 )
 from .instance_graph import (
-    EDGELESS,
-    FOREST,
-    STAR,
-    TREE,
+    ACYCLIC,
     IntersectionGraph,
     RootedTree,
     build_intersection_graph,
@@ -59,6 +56,7 @@ from .star_dag import (
     splice_center,
 )
 
+# Child gadgets are labeled by vertex, so no pair id can collide with it.
 PARENT_GADGET_ID = -1
 
 
@@ -177,8 +175,7 @@ def prepare_tree(
     if ig is None:
         ig = build_intersection_graph(pairs)
     tree = root_tree(ig)
-    ctx = TreeContext(sorted(pairs, key=lambda p: p.id),
-                      build_hanan_grid(pairs), tree, {})
+    ctx = TreeContext(list(ig.pairs), build_hanan_grid(ig.pairs), tree, {})
     for v in tree.postorder:
         table = node_table(ctx, v)
         eps = table[EPSILON]
@@ -228,7 +225,7 @@ def _build_cell_dag(
 
         style = gadget_style(window, None, weight)
         if style is not None:
-            gadgets.append(GadgetSpec(ctx.pairs[w].id, window, style, weight))
+            gadgets.append(GadgetSpec(w, window, style, weight))
 
     shape = DEGENERATE
     if not inout.is_epsilon:
@@ -263,7 +260,6 @@ def _reconstruct(
     in-out entry to the exit, which the caller embeds into its own path).
     """
     dag, _, frame, shape = _build_cell_dag(ctx, v, inout)
-    node_of = {ctx.pairs[w].id: w for w in ctx.children(v)}
     lam = dag.forward()
     _, crossings, waypoints = dag.witness(lam)
 
@@ -286,7 +282,7 @@ def _reconstruct(
             if requirement[0] != canonical.p:
                 requirement.reverse()
             continue
-        w = node_of[c.pair_id]
+        w = c.pair_id
         seen_children.add(w)
         key = InOutPair.make(frame.back(c.entry), frame.back(c.exit))
         sub_paths, sub_req = _reconstruct(ctx, w, key)
@@ -319,16 +315,18 @@ def _reconstruct(
 def solve_forest(
     instance: list[TerminalPair],
     prepare: Callable[[list[TerminalPair], Optional[IntersectionGraph]], TreeContext],
+    ig: Optional[IntersectionGraph] = None,
 ) -> GridNetwork:
     """Exact solver for forest-shaped intersection graphs.
 
-    ``prepare(pairs, ig)`` roots one component and fills its tables; the
-    driver solves every component, realizes the paths top-down and
-    certifies the total against the root tables.
+    ``prepare(pairs, ig)`` roots one component, given its induced subgraph,
+    and fills its tables; the driver solves every component, realizes the
+    paths top-down and certifies the total against the root tables.
     """
-    pairs = sorted(instance, key=lambda p: p.id)
-    ig = build_intersection_graph(pairs)
-    if ig.class_tag not in (TREE, STAR, EDGELESS, FOREST):
+    if ig is None:
+        ig = build_intersection_graph(instance)
+    pairs = ig.pairs
+    if ig.class_tag not in ACYCLIC:
         raise WrongClass(
             f"tree solver requires an acyclic intersection graph, got {ig.class_tag}"
         )
@@ -340,10 +338,8 @@ def solve_forest(
             pair = pairs[comp[0]]
             paths.append(MPath(pair.id, densify(grid, default_l_path(pair))))
             continue
-        if len(comp) < ig.n:
-            ctx = prepare([pairs[k] for k in comp], None)
-        else:
-            ctx = prepare(pairs, ig)
+        sub = ig.induced(comp)
+        ctx = prepare(list(sub.pairs), sub)
         root = ctx.tree.root
         shared += ctx.tables[root][EPSILON]
         node_paths, _ = _reconstruct(ctx, root, EPSILON)
@@ -356,6 +352,8 @@ def solve_forest(
     return GridNetwork.certified(pairs, paths, grid, expected)
 
 
-def solve_tree(instance: list[TerminalPair]) -> GridNetwork:
+def solve_tree(
+    instance: list[TerminalPair], ig: Optional[IntersectionGraph] = None
+) -> GridNetwork:
     """Exact solver for forests, filling every cell by the reference query."""
-    return solve_forest(instance, prepare_tree)
+    return solve_forest(instance, prepare_tree, ig)

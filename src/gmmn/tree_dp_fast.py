@@ -444,6 +444,8 @@ def prepare_tree_fast(
     return prepare_tree(pairs, ig, _fast_table)
 
 
-def solve_tree_fast(instance: list[TerminalPair]) -> GridNetwork:
+def solve_tree_fast(
+    instance: list[TerminalPair], ig: Optional[IntersectionGraph] = None
+) -> GridNetwork:
     """Exact accelerated solver for forest-shaped intersection graphs."""
-    return solve_forest(instance, prepare_tree_fast)
+    return solve_forest(instance, prepare_tree_fast, ig)

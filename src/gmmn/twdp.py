@@ -12,7 +12,8 @@ cap aborts instead of approximating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from math import prod
+from typing import Optional, Sequence
 
 from .errors import CandidateCapExceeded, Unreachable
 from .geometry import (
@@ -33,15 +34,14 @@ from .instance_graph import (
     JOIN,
     LEAF,
     IntersectionGraph,
-    NiceTreeDecomposition,
     build_intersection_graph,
     nice_tree_decomposition,
 )
 
 DEFAULT_ENTRY_CAP = 200_000
 
-# An assignment maps each bag pair to an index into its candidate list;
-# stored as a tuple of (pair id, candidate index) sorted by pair id.
+# An assignment maps each bag vertex to an index into its candidate list;
+# stored as a tuple of (vertex, candidate index) sorted by vertex.
 Assignment = tuple[tuple[int, int], ...]
 
 
@@ -69,17 +69,16 @@ def candidate_mpaths(
     choice; an isolated pair gets exactly its two L-paths (one when
     degenerate).
     """
-    by_id = {p.id: p for p in pairs}
-    pair = by_id[v]
     if grid is None:
         grid = build_hanan_grid(pairs)
     if ig is None:
         ig = build_intersection_graph(pairs)
-    ordered = sorted(by_id)
+    k = ig.vertex(v)
+    pair = ig.pairs[k]
     xs = {pair.s.x, pair.t.x}
     ys = {pair.s.y, pair.t.y}
-    for w in ig.adjacency[ordered.index(v)]:
-        window = pair.box.intersect(by_id[ordered[w]].box)
+    for w in ig.adjacency[k]:
+        window = pair.box.intersect(ig.pairs[w].box)
         assert window is not None
         sub = grid.subgrid(window)
         xs.update(grid.xs[j] for j in range(sub.j_lo, sub.j_hi + 1))
@@ -113,12 +112,11 @@ def _union_length(edge_sets: list[frozenset]) -> int:
 def twdp_node(
     node,
     child_tables: list[TwdpTable],
-    candidates: dict[int, list[MPath]],
-    edges: dict[int, list[frozenset]],
-    dists: dict[int, int],
-    entry_cap: int = DEFAULT_ENTRY_CAP,
+    candidates: Sequence[list[MPath]],
+    edges: Sequence[list[frozenset]],
+    dists: Sequence[int],
 ) -> TwdpTable:
-    """Fill one decomposition node's table from its children's tables."""
+    """Fill one node's table from its children's; the rest index by vertex."""
     if node.kind == LEAF:
         return TwdpTable(node.id, {(): 0})
     if node.kind == INTRODUCE:
@@ -133,10 +131,6 @@ def twdp_node(
                 shared = sum(edge_length(e) for e in es & other)
                 new_key = tuple(sorted(key + ((w, idx),)))
                 entries[new_key] = val + dists[w] - shared
-                if len(entries) > entry_cap:
-                    raise CandidateCapExceeded(
-                        f"node {node.id} exceeds {entry_cap} table entries"
-                    )
         return TwdpTable(node.id, entries)
     if node.kind == FORGET:
         (child,) = child_tables
@@ -162,37 +156,42 @@ def twdp_node(
 
 def solve_twdp(
     instance: list[TerminalPair],
-    decomposition: Optional[NiceTreeDecomposition] = None,
     entry_cap: int = DEFAULT_ENTRY_CAP,
+    ig: Optional[IntersectionGraph] = None,
 ) -> GridNetwork:
-    """Exact solver parameterized by treewidth and degree of the graph."""
-    pairs = sorted(instance, key=lambda p: p.id)
+    """Exact solver parameterized by treewidth and degree of the graph.
+
+    A table holds exactly the product of its bag's candidate counts, so the
+    entry cap is checked on every bag before any table is filled.
+    """
+    if ig is None:
+        ig = build_intersection_graph(instance)
+    pairs = ig.pairs
     grid = build_hanan_grid(pairs)
-    ig = build_intersection_graph(pairs)
-    if decomposition is None:
-        decomposition = nice_tree_decomposition(ig)
+    decomposition = nice_tree_decomposition(ig)
     decomposition.validate(ig)
 
-    candidates = {
-        p.id: candidate_mpaths(pairs, p.id, grid, ig, entry_cap) for p in pairs
-    }
-    edges = {
-        pid: [frozenset(path_edges(m.vertices)) for m in cands]
-        for pid, cands in candidates.items()
-    }
-    dists = {p.id: p.distance for p in pairs}
+    candidates = [candidate_mpaths(pairs, p.id, grid, ig, entry_cap) for p in pairs]
+    for node in decomposition.nodes:
+        size = prod(len(candidates[v]) for v in node.bag)
+        if size > entry_cap:
+            raise CandidateCapExceeded(
+                f"node {node.id} needs {size} entries, above the cap of {entry_cap}"
+            )
+    edges = [
+        [frozenset(path_edges(m.vertices)) for m in cands] for cands in candidates
+    ]
+    dists = [p.distance for p in pairs]
 
     tables: dict[int, TwdpTable] = {}
     for node in decomposition.postorder():
         children = [tables[c] for c in node.children]
-        tables[node.id] = twdp_node(
-            node, children, candidates, edges, dists, entry_cap
-        )
+        tables[node.id] = twdp_node(node, children, candidates, edges, dists)
     root_table = tables[decomposition.root]
     assert list(root_table.entries) == [()], "root bag must be empty"
     best = root_table.entries[()]
 
-    # Witness: replay the argmin choices top-down; each pair's path is
+    # Witness: replay the argmin choices top-down; each vertex's path is
     # decided at the unique forget node that drops it.
     chosen: dict[int, int] = {}
     nodes = decomposition.nodes
@@ -224,6 +223,6 @@ def solve_twdp(
         raise Unreachable(f"unknown node kind {node.kind}")
 
     walk(decomposition.root, ())
-    assert set(chosen) == {p.id for p in pairs}
-    paths = [candidates[p.id][chosen[p.id]] for p in pairs]
+    assert set(chosen) == set(range(len(pairs)))
+    paths = [cands[chosen[v]] for v, cands in enumerate(candidates)]
     return GridNetwork.certified(pairs, paths, grid, best)

@@ -2,9 +2,12 @@
 
 import random
 import re
+import sys
 
 import pytest
 
+import gmmn.cli
+import gmmn.instance_graph
 from gmmn.cli import (
     BenchReport,
     FormatError,
@@ -23,10 +26,11 @@ from gmmn.cli import (
     solve_to_file,
     validate_solution,
 )
-from gmmn.errors import CapExceeded, GenerationFailed
+from gmmn.errors import CapExceeded, CertificateFailed, GenerationFailed
 from gmmn.geometry import Point, TerminalPair
-from gmmn.instance_graph import build_intersection_graph
+from gmmn.instance_graph import build_intersection_graph, find_cycle
 from gmmn.oracle import solve_bruteforce
+from gmmn.pseudotree import build_reduction_plan, cut_degenerate_cycle
 
 
 def make(specs):
@@ -195,6 +199,91 @@ class TestDispatch:
                     assert net.total_length == want, (cls, n, name)
 
 
+def relabelled(pairs, shift):
+    return [TerminalPair.make(p.id + shift, p.s, p.t) for p in pairs]
+
+
+class TestPairIds:
+    # +10 moves every id off its vertex; -1 gives one pair the id -1.
+    @pytest.mark.parametrize("shift", [10, -1])
+    @pytest.mark.parametrize(
+        "cls,n", [("star", 8), ("tree", 8), ("cycle", 8), ("pseudotree", 8), ("general", 5)]
+    )
+    def test_shifted_ids_solve_alike(self, cls, n, shift):
+        pairs = list(generate(cls, n, 40, 1).pairs)
+        name, net, ratio, _ = dispatch(pairs)
+        shifted = relabelled(pairs, shift)
+        got_name, got, got_ratio, _ = dispatch(shifted)
+        assert (got_name, got.total_length, got_ratio) == (name, net.total_length, ratio)
+        assert sorted(m.pair_id for m in got.paths) == sorted(p.id for p in shifted)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count intersection-graph builds, in every namespace that binds the builder."""
+    original = gmmn.instance_graph.build_intersection_graph
+    calls = []
+
+    def counting(instance):
+        calls.append(len(instance))
+        return original(instance)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "gmmn" or name.startswith("gmmn.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def ring(degenerate):
+    """A generated cycle that takes the degenerate cut, or one that does not."""
+    for seed in range(50):
+        pairs = list(generate("cycle", 12, 36, seed).pairs)
+        ig = build_intersection_graph(pairs)
+        if (cut_degenerate_cycle(pairs, find_cycle(ig.adjacency), ig) is None) != degenerate:
+            return pairs
+    raise AssertionError("no such ring among the seeds")
+
+
+class TestBuildsPerSolve:
+    @pytest.mark.parametrize("cls,n,r,seed,cap,solver", [
+        ("star", 12, 40, 0, None, "star"),
+        ("tree", 20, 80, 1, None, "tree-fast"),
+        ("general", 4, 8, 0, None, "twdp"),
+        ("general", 4, 8, 0, 1, "approx"),
+    ])
+    def test_one_build_per_dispatch(self, builds, cls, n, r, seed, cap, solver):
+        pairs = list(generate(cls, n, r, seed).pairs)
+        builds.clear()
+        assert dispatch(pairs, "auto", cap)[0] == solver
+        assert len(builds) == 1
+
+    def test_one_build_per_forest_dispatch(self, builds):
+        left = list(generate("tree", 6, 24, 3).pairs)
+        right = [
+            TerminalPair.make(p.id + 6, Point(p.s.x + 100, p.s.y), Point(p.t.x + 100, p.t.y))
+            for p in generate("tree", 7, 28, 4).pairs
+        ]
+        assert build_intersection_graph(left + right).class_tag == "forest"
+        builds.clear()
+        assert dispatch(left + right)[0] == "tree-fast"
+        assert len(builds) == 1
+
+    def test_degenerate_ring_builds_twice(self, builds):
+        pairs = ring(degenerate=True)
+        builds.clear()
+        assert dispatch(pairs)[0] == "pseudotree"
+        assert len(builds) == 2
+
+    def test_passage_triple_ring_builds_once_per_triple(self, builds):
+        pairs = ring(degenerate=False)
+        triples = len(build_reduction_plan(pairs).triples)
+        builds.clear()
+        assert dispatch(pairs)[0] == "pseudotree"
+        assert triples > 0 and len(builds) == 1 + triples
+
+
 class TestRender:
     def test_deterministic_and_well_formed(self):
         inst = generate("cycle", 5, 10, seed=7)
@@ -272,6 +361,31 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: coordinate too large")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_width_cap_exits_3(self, tmp_path, capsys):
+        # Fourteen nested boxes: a 14-clique of width 13, above the cap of 10.
+        inst = tmp_path / "clique.txt"
+        inst.write_text("gmmn-instance 1\n" + "".join(
+            f"pair {-i - 1} {-i - 1} {20 + i} {20 + i}\n" for i in range(14)
+        ))
+        assert main(["solve", "--input", str(inst), "--algorithm", "twdp",
+                     "--output", "-"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: width 13 exceeds cap 10")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_other_solver_errors_exit_1(self, tmp_path, capsys, monkeypatch):
+        def broken(ig, cap):
+            raise CertificateFailed("certificate broken on purpose")
+
+        monkeypatch.setitem(gmmn.cli.SOLVERS, "tree-fast", broken)
+        inst = tmp_path / "inst.txt"
+        main(["generate", "--class", "tree", "--n", "5",
+              "--coord-range", "12", "--output", str(inst)])
+        capsys.readouterr()
+        assert main(["solve", "--input", str(inst), "--output", "-"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: certificate broken on purpose\n"
 
     def test_bench_report_round_trips(self, tmp_path, capsys):
         out = tmp_path / "bench.txt"

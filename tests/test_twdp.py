@@ -199,3 +199,42 @@ class TestSolve:
             general += build_intersection_graph(inst).class_tag == GENERAL
             checked += 1
         assert general >= 5
+
+
+class TestEntryCap:
+    # Bags {0, 1, 2} with 20, 20 and 10 candidates: the largest table holds
+    # 4000 entries, while every single pair stays far below the cap.
+    INST = make([((0, 0), (4, 4)), ((2, 2), (6, 6)), ((3, 0), (7, 3))])
+
+    def test_tables_hold_the_product_of_their_bags_candidate_counts(self, monkeypatch):
+        import gmmn.twdp as twdp
+
+        counts = [len(candidate_mpaths(self.INST, p.id)) for p in self.INST]
+        sizes = []
+
+        def recording(node, *args):
+            table = original(node, *args)
+            sizes.append((node.bag, len(table.entries)))
+            return table
+
+        original = twdp.twdp_node
+        monkeypatch.setattr(twdp, "twdp_node", recording)
+        solve_twdp(self.INST, entry_cap=4000)
+        assert sizes
+        for bag, size in sizes:
+            want = 1
+            for v in bag:
+                want *= counts[v]
+            assert size == want
+        assert max(size for _, size in sizes) == 4000
+
+    def test_cap_is_checked_before_any_table_is_filled(self, monkeypatch):
+        import gmmn.twdp as twdp
+
+        filled = []
+        monkeypatch.setattr(
+            twdp, "twdp_node", lambda *args: filled.append(args) or None
+        )
+        with pytest.raises(CandidateCapExceeded, match="4000 entries"):
+            solve_twdp(self.INST, entry_cap=3999)
+        assert filled == []

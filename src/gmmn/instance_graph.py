@@ -451,19 +451,29 @@ def nice_tree_decomposition(
             cur = add_node(INTRODUCE, cur_bag, (cur,), v)
         return cur
 
-    def build(raw_v: int) -> int:
+    # Depth-first over the raw tree with an explicit stack: a vertex's
+    # subtree is finished, and its chain to the parent's bag added, before
+    # the parent's next child starts; the parent's joins come last.
+    child_tops: dict[int, list[int]] = {raw_root: []}
+    stack = [(raw_root, iter(raw_children[raw_root]))]
+    while stack:
+        raw_v, kids = stack[-1]
+        c = next(kids, None)
+        if c is not None:
+            child_tops[c] = []
+            stack.append((c, iter(raw_children[c])))
+            continue
+        stack.pop()
         bag = bags[raw_v]
-        child_tops = [
-            chain_to(bags[c], build(c), bag) for c in raw_children[raw_v]
-        ]
-        if not child_tops:
-            leaf = add_node(LEAF, frozenset(), ())
-            return chain_to(frozenset(), leaf, bag)
-        top = child_tops[0]
-        for other in child_tops[1:]:
-            top = add_node(JOIN, bag, (top, other))
-        return top
-
-    top = build(raw_root)
+        tops = child_tops.pop(raw_v)
+        if not tops:
+            top = chain_to(frozenset(), add_node(LEAF, frozenset(), ()), bag)
+        else:
+            top = tops[0]
+            for other in tops[1:]:
+                top = add_node(JOIN, bag, (top, other))
+        if stack:
+            parent = stack[-1][0]
+            child_tops[parent].append(chain_to(bag, top, bags[parent]))
     root = chain_to(bags[raw_root], top, frozenset())
     return NiceTreeDecomposition(tuple(nodes), root, width)

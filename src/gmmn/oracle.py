@@ -9,7 +9,6 @@ from __future__ import annotations
 from .errors import CapExceeded
 from .geometry import (
     GridNetwork,
-    HananGrid,
     MPath,
     Point,
     TerminalPair,
@@ -20,9 +19,7 @@ from .geometry import (
 
 
 def solve_bruteforce(
-    instance: list[TerminalPair],
-    product_cap: int = 5_000_000,
-    grid: HananGrid | None = None,
+    instance: list[TerminalPair], product_cap: int = 5_000_000
 ) -> GridNetwork:
     """Minimum union length over the Cartesian product of per-pair M-paths.
 
@@ -30,8 +27,7 @@ def solve_bruteforce(
     (in pair-id order), which keeps recorded fixtures deterministic.  The
     network is certified against the search's minimum.
     """
-    if grid is None:
-        grid = build_hanan_grid(instance)
+    grid = build_hanan_grid(instance)
     pairs = sorted(instance, key=lambda p: p.id)
 
     per_pair_paths: list[list[MPath]] = []

@@ -23,12 +23,13 @@ Gadget styles:
 * ``deg-dense`` — collinear window with non-additive weights; one arc per
                   sub-segment (p, q), chaining blocked via exit copies.
 
+The grid arcs are indexed once per DAG, by the position each one enters,
+and every sweep reads that index in one row-major pass (see `AuxDag`).
 The center is assumed non-flipped (callers reflect the y-axis first).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -106,6 +107,16 @@ class AuxDag:
     id ``pos`` and extra copies get ids past the position count.  All arcs
     run from lexicographically smaller to larger positions, so one row-major
     sweep relaxes every node (the graph is acyclic by construction).
+
+    The arc index is built once, with the DAG: ``h_arcs[pos]`` and
+    ``v_arcs[pos]`` hold the grid arc entering ``pos`` from the left and
+    from below as (length, gadget), or None when a gadget kills it or
+    ``pos`` lies on that boundary.  Positions that carry copies ("copy
+    positions") also get, in dicts keyed by position, the copies that grid
+    arcs enter (``in_h``/``in_v``) and leave from (``out_h``/``out_v``),
+    the relaxation order (``orders``: node, takes the horizontal grid arc,
+    takes the vertical one) and the node list (``pos_nodes``).  Every other
+    position has the one node ``pos``, which takes both grid arcs.
     """
 
     def __init__(
@@ -129,11 +140,6 @@ class AuxDag:
         self.source_pos = (si - cw.i_lo) * self.b + (sj - cw.j_lo)
         self.sink_pos = (ti - cw.i_lo) * self.b + (tj - cw.j_lo)
 
-        # Grid-arc state, keyed by relative row index.
-        # h intervals: (j_from, j_to, kind, gadget_index) for arcs
-        # (i, j) -> (i, j+1) with j in [j_from, j_to].
-        self.h_ivals: dict[int, list[tuple[int, int, str, int]]] = {}
-        self.v_ivals: dict[int, list[tuple[int, int, str, int]]] = {}
         self.dead: set[int] = set()
         self.copies: dict[int, dict[str, int]] = {}
         self.split: dict[int, Optional[str]] = {}  # pos -> 'UL'/'LR'/None glue
@@ -145,7 +151,7 @@ class AuxDag:
         self._mark_regions()
         self._mark_roles()
         self._assign_copy_ids()
-        self._build_grid_overrides()
+        self._index_copy_positions()
         self._emit_gadget_arcs()
         self._emit_intra_arcs()
 
@@ -159,51 +165,40 @@ class AuxDag:
         i, j = divmod(pos, self.b)
         return self.grid.vertex(i + self.cw.i_lo, j + self.cw.j_lo)
 
-    def _add_ival(
-        self,
-        table: dict[int, list[tuple[int, int, str, int]]],
-        row: int,
-        j_from: int,
-        j_to: int,
-        kind: str,
-        g: int,
-    ) -> None:
-        if j_from > j_to:
-            return
-        table.setdefault(row, []).append((j_from, j_to, kind, g))
-
     def _mark_regions(self) -> None:
-        cw = self.cw
+        """Build the arc index and the dead interior positions."""
+        cw, a, b = self.cw, self.a, self.b
+        xs, ys = self.grid.xs, self.grid.ys
+        free = (0, None)  # one shared entry for every untouched arc
+        h_arcs: list[Optional[tuple[int, Optional[int]]]] = [free] * self.npos
+        v_arcs: list[Optional[tuple[int, Optional[int]]]] = [free] * self.npos
+        h_arcs[::b] = [None] * a  # the left column
+        v_arcs[:b] = [None] * b  # the bottom row
         for g, spec in enumerate(self.gadgets):
             w = spec.window
+            if spec.style == DEG_UNIT:
+                # Collinear window: its grid arcs carry their true length.
+                for j in range(w.j_lo + 1, w.j_hi + 1):
+                    h_arcs[self._rel(w.i_lo, j)] = (xs[j] - xs[j - 1], g)
+                for i in range(w.i_lo + 1, w.i_hi + 1):
+                    v_arcs[self._rel(i, w.j_lo)] = (ys[i] - ys[i - 1], g)
+                continue
+            # Every other gadget replaces the grid arcs inside its window
+            # (along its line when collinear) and drops the interior.
             ri_lo, ri_hi = w.i_lo - cw.i_lo, w.i_hi - cw.i_lo
             rj_lo, rj_hi = w.j_lo - cw.j_lo, w.j_hi - cw.j_lo
-            if spec.style == DEG_UNIT:
-                kind = "unit"
-            else:
-                kind = "kill"
-            if spec.style in (DEG_UNIT, DEG_DENSE):
-                if w.a == 1 and w.b > 1:
-                    self._add_ival(self.h_ivals, ri_lo, rj_lo, rj_hi - 1, kind, g)
-                elif w.b == 1 and w.a > 1:
-                    for i in range(ri_lo, ri_hi):
-                        self._add_ival(self.v_ivals, i, rj_lo, rj_lo, kind, g)
-                continue
-            # Non-degenerate window: kill every arc inside it, drop interior.
             for i in range(ri_lo, ri_hi + 1):
-                self._add_ival(self.h_ivals, i, rj_lo, rj_hi - 1, "kill", g)
-            for i in range(ri_lo, ri_hi):
-                self._add_ival(self.v_ivals, i, rj_lo, rj_hi, "kill", g)
+                row = i * b
+                h_arcs[row + rj_lo + 1 : row + rj_hi + 1] = [None] * (rj_hi - rj_lo)
+            for i in range(ri_lo + 1, ri_hi + 1):
+                row = i * b
+                v_arcs[row + rj_lo : row + rj_hi + 1] = [None] * (rj_hi - rj_lo + 1)
             for i in range(ri_lo + 1, ri_hi):
-                base = i * self.b
-                for j in range(rj_lo + 1, rj_hi):
-                    self.dead.add(base + j)
-        for table in (self.h_ivals, self.v_ivals):
-            for row in table:
-                table[row].sort()
+                self.dead.update(range(i * b + rj_lo + 1, i * b + rj_hi))
+        self.h_arcs = h_arcs
+        self.v_arcs = v_arcs
 
     def _mark_roles(self) -> None:
-        cw = self.cw
         # Pass 1: split corners of full/flipped gadgets.  When two gadgets'
         # split corners coincide (diagonal corner contact) the glue must be
         # dropped: either glue direction would let one gadget's claims chain
@@ -232,7 +227,6 @@ class AuxDag:
                 pos = self._rel(i, j)
                 if pos not in self.split:
                     self.sat.add(pos)
-        del cw
 
     def _assign_copy_ids(self) -> None:
         next_id = self.npos
@@ -264,22 +258,35 @@ class AuxDag:
             return [self._rel(w.i_lo, j) for j in range(w.j_lo, w.j_hi + 1)]
         return [self._rel(i, w.j_lo) for i in range(w.i_lo, w.i_hi + 1)]
 
-    def _build_grid_overrides(self) -> None:
-        # Defaults: plain node == pos for both attachment and emission.
+    def _index_copy_positions(self) -> None:
+        """The per-copy-position dicts of the class docstring."""
         self.in_h: dict[int, int] = {}
         self.in_v: dict[int, int] = {}
         self.out_h: dict[int, tuple[int, ...]] = {}
         self.out_v: dict[int, tuple[int, ...]] = {}
+        self.orders: dict[int, tuple[tuple[int, bool, bool], ...]] = {}
+        self.pos_nodes: dict[int, tuple[int, ...]] = {}
         for pos, d in self.copies.items():
             exits = tuple(v for k, v in sorted(d.items()) if k.startswith("x"))
+            # Exit copies come first: they only receive arcs from earlier
+            # positions, while their own zero arcs feed the hor/vert copies.
+            order = [(v, False, False) for v in exits]
             if pos in self.split:
                 self.in_h[pos] = d["hor"]
                 self.in_v[pos] = d["vert"]
                 self.out_h[pos] = (d["hor"],) + exits
                 self.out_v[pos] = (d["vert"],) + exits
-            elif exits:
-                self.out_h[pos] = (pos,) + exits
-                self.out_v[pos] = (pos,) + exits
+                hor, vert = (d["hor"], True, False), (d["vert"], False, True)
+                order += [vert, hor] if self.split[pos] == "LR" else [hor, vert]
+            else:
+                if exits:
+                    self.out_h[pos] = (pos,) + exits
+                    self.out_v[pos] = (pos,) + exits
+                if pos in self.sat:
+                    order += [(d["hor"], False, False), (d["vert"], False, False)]
+                order.append((pos, True, True))
+            self.orders[pos] = tuple(order)
+            self.pos_nodes[pos] = (pos, *sorted(d.values()))
 
     def _push_arc(self, src: int, dst: int, length: int, meta: int) -> None:
         self.in_arcs.setdefault(dst, []).append((src, length, meta))
@@ -503,79 +510,6 @@ class AuxDag:
                 self._push_arc(e, d["vert"], 0, meta)
 
     # ------------------------------------------------------------------
-    # queries
-
-    def nodes_at(self, pos: int) -> list[int]:
-        out = [pos]
-        d = self.copies.get(pos)
-        if d:
-            out.extend(sorted(d.values()))
-        return out
-
-    def _local_order(self, pos: int) -> list[tuple[int, bool, bool]]:
-        """Relaxation order at a position: (node, takes_in_h, takes_in_v)."""
-        d = self.copies.get(pos)
-        if not d:
-            return [(pos, True, True)]
-        # Exit copies come first: they only receive arcs from earlier
-        # positions, while their own zero arcs feed the hor/vert copies here.
-        exits = [(v, False, False) for k, v in sorted(d.items()) if k.startswith("x")]
-        glue = self.split.get(pos)
-        if pos in self.split:
-            if glue == "LR":
-                order = [(d["vert"], False, True), (d["hor"], True, False)]
-            else:
-                order = [(d["hor"], True, False), (d["vert"], False, True)]
-            return exits + order
-        if pos in self.sat:
-            order = [
-                (d["hor"], False, False),
-                (d["vert"], False, False),
-                (pos, True, True),
-            ]
-            return exits + order
-        return exits + [(pos, True, True)]
-
-    def _ival_lookup(
-        self, table: dict[int, list[tuple[int, int, str, int]]], row: int, j: int
-    ) -> Optional[tuple[str, int]]:
-        ivals = table.get(row)
-        if not ivals:
-            return None
-        k = bisect_right(ivals, (j, self.b + 1, "", 0)) - 1
-        if k >= 0:
-            j_from, j_to, kind, g = ivals[k]
-            if j_from <= j <= j_to:
-                return kind, g
-        return None
-
-    def h_arc(self, i: int, j: int) -> Optional[tuple[int, Optional[int]]]:
-        """State of grid arc (i, j) -> (i, j+1): (length, gadget) or None."""
-        hit = self._ival_lookup(self.h_ivals, i, j)
-        if hit is None:
-            return (0, None)
-        kind, g = hit
-        if kind == "kill":
-            return None
-        length = (
-            self.grid.xs[j + 1 + self.cw.j_lo] - self.grid.xs[j + self.cw.j_lo]
-        )
-        return (length, g)
-
-    def v_arc(self, i: int, j: int) -> Optional[tuple[int, Optional[int]]]:
-        """State of grid arc (i, j) -> (i+1, j): (length, gadget) or None."""
-        hit = self._ival_lookup(self.v_ivals, i, j)
-        if hit is None:
-            return (0, None)
-        kind, g = hit
-        if kind == "kill":
-            return None
-        length = (
-            self.grid.ys[i + 1 + self.cw.i_lo] - self.grid.ys[i + self.cw.i_lo]
-        )
-        return (length, g)
-
-    # ------------------------------------------------------------------
     # sweeps
 
     def forward(self, seeds: Optional[frozenset[int]] = None) -> list[int]:
@@ -588,58 +522,28 @@ class AuxDag:
             seeds = frozenset((self.source_pos,))
         lam = [NEG] * self.node_count
         b = self.b
+        h_arcs, v_arcs = self.h_arcs, self.v_arcs
         out_h, out_v = self.out_h, self.out_v
-        in_arcs = self.in_arcs
-        copies = self.copies
-        for i in range(self.a):
-            base = i * b
-            for j in range(b):
-                pos = base + j
-                if pos in copies:
-                    for nd, takes_h, takes_v in self._local_order(pos):
-                        best = 0 if nd in seeds else NEG
-                        if takes_h and j:
-                            arc = self.h_arc(i, j - 1)
-                            if arc is not None:
-                                for s in out_h.get(pos - 1, (pos - 1,)):
-                                    v = lam[s]
-                                    if v != NEG and v + arc[0] > best:
-                                        best = v + arc[0]
-                        if takes_v and i:
-                            arc = self.v_arc(i - 1, j)
-                            if arc is not None:
-                                for s in out_v.get(pos - b, (pos - b,)):
-                                    v = lam[s]
-                                    if v != NEG and v + arc[0] > best:
-                                        best = v + arc[0]
-                        for s, ln, _ in in_arcs.get(nd, ()):
-                            v = lam[s]
-                            if v != NEG and v + ln > best:
-                                best = v + ln
-                        lam[nd] = best
-                    continue
-                best = 0 if pos in seeds else NEG
-                if j:
-                    arc = self.h_arc(i, j - 1)
-                    if arc is not None:
-                        for s in out_h.get(pos - 1, (pos - 1,)):
-                            v = lam[s]
-                            if v != NEG and v + arc[0] > best:
-                                best = v + arc[0]
-                if i:
-                    arc = self.v_arc(i - 1, j)
-                    if arc is not None:
-                        for s in out_v.get(pos - b, (pos - b,)):
-                            v = lam[s]
-                            if v != NEG and v + arc[0] > best:
-                                best = v + arc[0]
-                g = in_arcs.get(pos)
-                if g:
-                    for s, ln, _ in g:
+        in_arcs, orders = self.in_arcs, self.orders
+        for pos in range(self.npos):
+            h_arc, v_arc = h_arcs[pos], v_arcs[pos]
+            for nd, takes_h, takes_v in orders.get(pos) or ((pos, True, True),):
+                best = 0 if nd in seeds else NEG
+                if takes_h and h_arc is not None:
+                    for s in out_h.get(pos - 1, (pos - 1,)):
                         v = lam[s]
-                        if v != NEG and v + ln > best:
-                            best = v + ln
-                lam[pos] = best
+                        if v != NEG and v + h_arc[0] > best:
+                            best = v + h_arc[0]
+                if takes_v and v_arc is not None:
+                    for s in out_v.get(pos - b, (pos - b,)):
+                        v = lam[s]
+                        if v != NEG and v + v_arc[0] > best:
+                            best = v + v_arc[0]
+                for s, ln, _ in in_arcs.get(nd, ()):
+                    v = lam[s]
+                    if v != NEG and v + ln > best:
+                        best = v + ln
+                lam[nd] = best
         return lam
 
     def backward(self, seeds: Optional[frozenset[int]] = None) -> list[int]:
@@ -650,40 +554,37 @@ class AuxDag:
         if seeds is None:
             seeds = frozenset((self.sink_pos,))
         mu = [NEG] * self.node_count
-        b = self.b
-        out_arcs = self.out_arcs
-        copies = self.copies
-        for i in range(self.a - 1, -1, -1):
-            base = i * b
-            for j in range(b - 1, -1, -1):
-                pos = base + j
-                order = (
-                    list(reversed(self._local_order(pos)))
-                    if pos in copies
-                    else [(pos, True, True)]
-                )
-                h_arc = self.h_arc(i, j) if j + 1 < b else None
-                v_arc = self.v_arc(i, j) if i + 1 < self.a else None
-                h_srcs = self.out_h.get(pos, (pos,))
-                v_srcs = self.out_v.get(pos, (pos,))
-                h_dst = self.in_h.get(pos + 1, pos + 1) if h_arc else -1
-                v_dst = self.in_v.get(pos + b, pos + b) if v_arc else -1
-                for nd, _, _ in order:
-                    best = 0 if nd in seeds else NEG
-                    if h_arc is not None and nd in h_srcs:
-                        v = mu[h_dst]
-                        if v != NEG and v + h_arc[0] > best:
-                            best = v + h_arc[0]
-                    if v_arc is not None and nd in v_srcs:
-                        v = mu[v_dst]
-                        if v != NEG and v + v_arc[0] > best:
-                            best = v + v_arc[0]
-                    for t, ln, _ in out_arcs.get(nd, ()):
-                        v = mu[t]
-                        if v != NEG and v + ln > best:
-                            best = v + ln
-                    mu[nd] = best
+        b, npos = self.b, self.npos
+        h_arcs, v_arcs = self.h_arcs, self.v_arcs
+        in_h, in_v = self.in_h, self.in_v
+        out_h, out_v = self.out_h, self.out_v
+        out_arcs, orders = self.out_arcs, self.orders
+        for pos in range(npos - 1, -1, -1):
+            h_arc = h_arcs[pos + 1] if pos + 1 < npos else None
+            v_arc = v_arcs[pos + b] if pos + b < npos else None
+            h_srcs = out_h.get(pos, (pos,))
+            v_srcs = out_v.get(pos, (pos,))
+            h_dst = in_h.get(pos + 1, pos + 1)
+            v_dst = in_v.get(pos + b, pos + b)
+            for nd, _, _ in reversed(orders.get(pos) or ((pos, True, True),)):
+                best = 0 if nd in seeds else NEG
+                if h_arc is not None and nd in h_srcs:
+                    v = mu[h_dst]
+                    if v != NEG and v + h_arc[0] > best:
+                        best = v + h_arc[0]
+                if v_arc is not None and nd in v_srcs:
+                    v = mu[v_dst]
+                    if v != NEG and v + v_arc[0] > best:
+                        best = v + v_arc[0]
+                for t, ln, _ in out_arcs.get(nd, ()):
+                    v = mu[t]
+                    if v != NEG and v + ln > best:
+                        best = v + ln
+                mu[nd] = best
         return mu
+
+    def nodes_at(self, pos: int) -> tuple[int, ...]:
+        return self.pos_nodes.get(pos) or (pos,)
 
     def value_at(self, arr: list[int], i_abs: int, j_abs: int) -> int:
         """Max sweep value over all node copies at an absolute grid position."""
@@ -712,20 +613,15 @@ class AuxDag:
     ) -> tuple[int, Optional[int], int, Optional[int]]:
         """One predecessor achieving lam[nd]: (src, meta, length, gadget)."""
         pos = self.node_pos(nd)
-        i, j = divmod(pos, self.b)
-        _, takes_h, takes_v = next(
-            t for t in self._local_order(pos) if t[0] == nd
+        order = self.orders.get(pos) or ((pos, True, True),)
+        _, takes_h, takes_v = next(t for t in order if t[0] == nd)
+        grid_arcs = (
+            (takes_h, self.h_arcs[pos], self.out_h, pos - 1),
+            (takes_v, self.v_arcs[pos], self.out_v, pos - self.b),
         )
-        if takes_h and j:
-            arc = self.h_arc(i, j - 1)
-            if arc is not None:
-                for s in self.out_h.get(pos - 1, (pos - 1,)):
-                    if lam[s] != NEG and lam[s] + arc[0] == lam[nd]:
-                        return s, None, arc[0], arc[1]
-        if takes_v and i:
-            arc = self.v_arc(i - 1, j)
-            if arc is not None:
-                for s in self.out_v.get(pos - self.b, (pos - self.b,)):
+        for takes, arc, out, prev in grid_arcs:
+            if takes and arc is not None:
+                for s in out.get(prev, (prev,)):
                     if lam[s] != NEG and lam[s] + arc[0] == lam[nd]:
                         return s, None, arc[0], arc[1]
         for s, ln, meta in self.in_arcs.get(nd, ()):
@@ -840,24 +736,14 @@ class AuxDag:
 
     def iter_arcs(self):
         """Yield every arc as (src, dst, length, kind); O(nodes + arcs)."""
-        for i in range(self.a):
-            for j in range(self.b):
-                pos = i * self.b + j
-                if j + 1 < self.b:
-                    arc = self.h_arc(i, j)
-                    if arc is not None:
-                        for s in self.out_h.get(pos, (pos,)):
-                            yield s, self.in_h.get(pos + 1, pos + 1), arc[0], "grid"
-                if i + 1 < self.a:
-                    arc = self.v_arc(i, j)
-                    if arc is not None:
-                        for s in self.out_v.get(pos, (pos,)):
-                            yield (
-                                s,
-                                self.in_v.get(pos + self.b, pos + self.b),
-                                arc[0],
-                                "grid",
-                            )
+        for pos in range(self.npos):
+            for arc, out, prev, into in (
+                (self.h_arcs[pos], self.out_h, pos - 1, self.in_h),
+                (self.v_arcs[pos], self.out_v, pos - self.b, self.in_v),
+            ):
+                if arc is not None:
+                    for s in out.get(prev, (prev,)):
+                        yield s, into.get(pos, pos), arc[0], "grid"
         for dst, arcs in self.in_arcs.items():
             for src, length, meta in arcs:
                 yield src, dst, length, self.metas[meta][3]
@@ -866,11 +752,9 @@ class AuxDag:
         """node -> (position, local rank); every arc must increase this."""
         out: dict[int, tuple[int, int]] = {}
         for pos in range(self.npos):
-            if pos in self.copies:
-                for rank, (nd, _, _) in enumerate(self._local_order(pos)):
-                    out[nd] = (pos, rank)
-            else:
-                out[pos] = (pos, 0)
+            order = self.orders.get(pos) or ((pos, True, True),)
+            for rank, (nd, _, _) in enumerate(order):
+                out[nd] = (pos, rank)
         return out
 
 

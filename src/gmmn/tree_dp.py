@@ -250,66 +250,67 @@ def compute_dp_cell(ctx: TreeContext, v: int, inout: InOutPair) -> int:
     return dag.best_value(dag.forward()) + kappa
 
 
-def _reconstruct(
-    ctx: TreeContext, v: int, inout: InOutPair
-) -> tuple[dict[int, list[Point]], Optional[list[Point]]]:
-    """Realize v's subtree for the chosen cell.
+def _reconstruct(ctx: TreeContext) -> dict[int, list[Point]]:
+    """Realize every node's path for the root's epsilon cell.
 
-    Returns (node → path waypoints in the original frame, and — when the
-    cell is non-epsilon — the parent's required subpath from the canonical
-    in-out entry to the exit, which the caller embeds into its own path).
+    A top-down pass decodes each node's witness for the cell its parent's
+    witness chose.  That fixes the node's children's cells and the node's
+    requirement: the parent's subpath, from the canonical in-out entry to
+    the exit, that the node's path shares.  A second pass splices each
+    child's requirement into its parent's path.  Returns node → path
+    waypoints in the original frame.
     """
-    dag, _, frame, shape = _build_cell_dag(ctx, v, inout)
-    lam = dag.forward()
-    _, crossings, waypoints = dag.witness(lam)
+    keys: dict[int, InOutPair] = {ctx.tree.root: EPSILON}
+    requirement: dict[int, list[Point]] = {}
+    decoded = []  # (node, frame, witness waypoints, crossings, portions)
+    for v in ctx.tree.preorder:
+        inout = keys[v]
+        dag, _, frame, shape = _build_cell_dag(ctx, v, inout)
+        _, crossings, waypoints = dag.witness(dag.forward())
+        # Per crossing, in v's frame; a child's portion is its requirement,
+        # known after this pass.
+        portions: list[Optional[list[Point]]] = []
+        for c in crossings:
+            if c.pair_id == PARENT_GADGET_ID:
+                mode = crossing_mode(shape, c)
+                portions.append(center_portion(mode, c))
+                constraint = shared_constraint(mode, c)
+                pseudo = TerminalPair.make(
+                    PARENT_GADGET_ID, frame.fwd(inout.p), frame.fwd(inout.q)
+                )
+                req_f = path_through_constraint(pseudo, constraint)
+                req = [frame.back(pt) for pt in req_f]
+                canonical = InOutPair.make(inout.p, inout.q)
+                if req[0] != canonical.p:
+                    req.reverse()
+                requirement[v] = req
+                continue
+            keys[c.pair_id] = InOutPair.make(frame.back(c.entry), frame.back(c.exit))
+            portions.append(None)
+        for w in ctx.children(v):
+            keys.setdefault(w, EPSILON)
+        if not inout.is_epsilon and v not in requirement:
+            # v's path avoids the crossing box entirely; any parent subpath works.
+            pseudo = TerminalPair.make(PARENT_GADGET_ID, inout.p, inout.q)
+            requirement[v] = default_l_path(pseudo)
+        decoded.append((v, frame, waypoints, crossings, portions))
 
-    requirement: Optional[list[Point]] = None
-    portions: list[list[Point]] = []  # per crossing, in v's frame
     paths: dict[int, list[Point]] = {}
-    seen_children: set[int] = set()
-
-    for c in crossings:
-        if c.pair_id == PARENT_GADGET_ID:
-            mode = crossing_mode(shape, c)
-            portions.append(center_portion(mode, c))
-            constraint = shared_constraint(mode, c)
-            pseudo = TerminalPair.make(
-                PARENT_GADGET_ID, frame.fwd(inout.p), frame.fwd(inout.q)
-            )
-            req_f = path_through_constraint(pseudo, constraint)
-            requirement = [frame.back(pt) for pt in req_f]
-            canonical = InOutPair.make(inout.p, inout.q)
-            if requirement[0] != canonical.p:
-                requirement.reverse()
-            continue
-        w = c.pair_id
-        seen_children.add(w)
-        key = InOutPair.make(frame.back(c.entry), frame.back(c.exit))
-        sub_paths, sub_req = _reconstruct(ctx, w, key)
-        paths.update(sub_paths)
-        assert sub_req is not None
-        portion = [frame.fwd(pt) for pt in sub_req]
-        if portion[0] != c.entry:
-            portion.reverse()
-        assert portion[0] == c.entry and portion[-1] == c.exit
-        portions.append(portion)
-
-    for w in ctx.children(v):
-        if w not in seen_children:
-            sub_paths, _ = _reconstruct(ctx, w, EPSILON)
-            paths.update(sub_paths)
-
-    if not inout.is_epsilon and requirement is None:
-        # v's path avoids the crossing box entirely; any parent subpath works.
-        pseudo = TerminalPair.make(PARENT_GADGET_ID, inout.p, inout.q)
-        requirement = default_l_path(pseudo)
-
-    pts = splice_center(waypoints, crossings, portions)
-    original = [frame.back(pt) for pt in pts]
-    if original[0] != ctx.pairs[v].s:
-        original.reverse()
-    paths[v] = original
-    return paths, requirement
+    for v, frame, waypoints, crossings, portions in decoded:
+        for k, c in enumerate(crossings):
+            if portions[k] is not None:
+                continue
+            portion = [frame.fwd(pt) for pt in requirement[c.pair_id]]
+            if portion[0] != c.entry:
+                portion.reverse()
+            assert portion[0] == c.entry and portion[-1] == c.exit
+            portions[k] = portion
+        pts = splice_center(waypoints, crossings, portions)
+        original = [frame.back(pt) for pt in pts]
+        if original[0] != ctx.pairs[v].s:
+            original.reverse()
+        paths[v] = original
+    return paths
 
 
 def solve_forest(
@@ -342,7 +343,7 @@ def solve_forest(
         ctx = prepare(list(sub.pairs), sub)
         root = ctx.tree.root
         shared += ctx.tables[root][EPSILON]
-        node_paths, _ = _reconstruct(ctx, root, EPSILON)
+        node_paths = _reconstruct(ctx)
         paths.extend(
             MPath(ctx.pairs[v].id, densify(grid, pts))
             for v, pts in sorted(node_paths.items())

@@ -23,6 +23,7 @@ from .geometry import (
     Point,
     TerminalPair,
     build_hanan_grid,
+    count_m_paths,
     densify,
     edge_length,
     enumerate_m_paths,
@@ -74,6 +75,12 @@ def candidate_mpaths(
     if ig is None:
         ig = build_intersection_graph(pairs)
     k = ig.vertex(v)
+    return _staircases(ig.pairs[k], _coarse_grid(grid, ig, k), grid, cap)
+
+
+def _coarse_grid(grid: HananGrid, ig: IntersectionGraph, k: int) -> HananGrid:
+    """Vertex k's coarse grid: its terminals' coordinates plus every
+    coordinate of each neighbor's overlap window."""
     pair = ig.pairs[k]
     xs = {pair.s.x, pair.t.x}
     ys = {pair.s.y, pair.t.y}
@@ -85,20 +92,27 @@ def candidate_mpaths(
         ys.update(grid.ys[i] for i in range(sub.i_lo, sub.i_hi + 1))
     xs_sorted = tuple(sorted(xs))
     ys_sorted = tuple(sorted(ys))
-    coarse = HananGrid(
+    return HananGrid(
         xs=xs_sorted,
         ys=ys_sorted,
         x_index={x: j for j, x in enumerate(xs_sorted)},
         y_index={y: i for i, y in enumerate(ys_sorted)},
     )
+
+
+def _staircases(
+    pair: TerminalPair, coarse: HananGrid, grid: HananGrid, cap: int
+) -> list[MPath]:
+    """The pair's staircases on its coarse grid, densified on ``grid``."""
+    count = count_m_paths(coarse, pair)
+    if count > cap:
+        raise CandidateCapExceeded(
+            f"pair {pair.id} has {count} candidates, above the cap of {cap}"
+        )
     out: dict[tuple[Point, ...], MPath] = {}
     for path in enumerate_m_paths(coarse, pair, cap=cap):
         dense = densify(grid, list(path.vertices))
         out.setdefault(dense, MPath(pair.id, dense))
-    if len(out) > cap:
-        raise CandidateCapExceeded(
-            f"pair {v} has {len(out)} candidates, above the cap of {cap}"
-        )
     return [out[k] for k in sorted(out)]
 
 
@@ -122,13 +136,14 @@ def twdp_node(
     if node.kind == INTRODUCE:
         (child,) = child_tables
         w = node.vertex
+        length = {e: edge_length(e) for es in edges[w] for e in es}
         entries: dict[Assignment, int] = {}
         for key, val in child.entries.items():
             other: set = set()
             for pid, idx in key:
                 other |= edges[pid][idx]
             for idx, es in enumerate(edges[w]):
-                shared = sum(edge_length(e) for e in es & other)
+                shared = sum(map(length.__getitem__, es & other))
                 new_key = tuple(sorted(key + ((w, idx),)))
                 entries[new_key] = val + dists[w] - shared
         return TwdpTable(node.id, entries)
@@ -161,8 +176,9 @@ def solve_twdp(
 ) -> GridNetwork:
     """Exact solver parameterized by treewidth and degree of the graph.
 
-    A table holds exactly the product of its bag's candidate counts, so the
-    entry cap is checked on every bag before any table is filled.
+    A table holds exactly the product of its bag's candidate counts, and a
+    pair's count is a binomial on its coarse grid, so the entry cap is
+    checked on every bag before any candidate is enumerated.
     """
     if ig is None:
         ig = build_intersection_graph(instance)
@@ -171,13 +187,15 @@ def solve_twdp(
     decomposition = nice_tree_decomposition(ig)
     decomposition.validate(ig)
 
-    candidates = [candidate_mpaths(pairs, p.id, grid, ig, entry_cap) for p in pairs]
+    coarse = [_coarse_grid(grid, ig, k) for k in range(ig.n)]
+    counts = [count_m_paths(c, p) for c, p in zip(coarse, pairs)]
     for node in decomposition.nodes:
-        size = prod(len(candidates[v]) for v in node.bag)
+        size = prod(counts[v] for v in node.bag)
         if size > entry_cap:
             raise CandidateCapExceeded(
                 f"node {node.id} needs {size} entries, above the cap of {entry_cap}"
             )
+    candidates = [_staircases(p, c, grid, entry_cap) for p, c in zip(pairs, coarse)]
     edges = [
         [frozenset(path_edges(m.vertices)) for m in cands] for cands in candidates
     ]
@@ -195,16 +213,14 @@ def solve_twdp(
     # decided at the unique forget node that drops it.
     chosen: dict[int, int] = {}
     nodes = decomposition.nodes
-
-    def walk(node_id: int, key: Assignment) -> None:
+    stack: list[tuple[int, Assignment]] = [(decomposition.root, ())]
+    while stack:
+        node_id, key = stack.pop()
         node = nodes[node_id]
-        if node.kind == LEAF:
-            return
         if node.kind == INTRODUCE:
             child_key = tuple(kv for kv in key if kv[0] != node.vertex)
-            walk(node.children[0], child_key)
-            return
-        if node.kind == FORGET:
+            stack.append((node.children[0], child_key))
+        elif node.kind == FORGET:
             u = node.vertex
             child = tables[node.children[0]]
             want = tables[node_id].entries[key]
@@ -213,16 +229,15 @@ def solve_twdp(
                     kv for kv in ckey if kv[0] != u
                 ) == key:
                     chosen[u] = dict(ckey)[u]
-                    walk(node.children[0], ckey)
-                    return
-            raise Unreachable("no child entry reproduces the forget minimum")
-        if node.kind == JOIN:
-            walk(node.children[0], key)
-            walk(node.children[1], key)
-            return
-        raise Unreachable(f"unknown node kind {node.kind}")
+                    stack.append((node.children[0], ckey))
+                    break
+            else:
+                raise Unreachable("no child entry reproduces the forget minimum")
+        elif node.kind == JOIN:
+            stack.extend((c, key) for c in node.children)
+        elif node.kind != LEAF:
+            raise Unreachable(f"unknown node kind {node.kind}")
 
-    walk(decomposition.root, ())
     assert set(chosen) == set(range(len(pairs)))
     paths = [cands[chosen[v]] for v, cands in enumerate(candidates)]
     return GridNetwork.certified(pairs, paths, grid, best)

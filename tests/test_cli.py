@@ -397,3 +397,27 @@ class TestMain:
         assert len(report.medians) == 2
         assert len(report.slopes) == 1
         assert serialize_bench(report) == out.read_text()
+
+
+class TestLongPaths:
+    # A path of 1200 boxes, each sharing one vertical unit segment with the
+    # next: every pair has length 3 and can share with one neighbour only,
+    # so the optimum saves 600.  The solvers deal with the path's length in
+    # loops, not in recursion, and run at the default recursion limit.
+    N = 1200
+    PAIRS = [TerminalPair.make(i, Point(2 * i, 0), Point(2 * i + 2, 1)) for i in range(N)]
+
+    @pytest.mark.parametrize("algorithm, solver", [("auto", "tree-fast"), ("twdp", "twdp")])
+    def test_dispatch_solves_the_path(self, algorithm, solver):
+        name, network, _, _ = dispatch(list(self.PAIRS), algorithm)
+        assert name == solver
+        assert network.total_length == 3 * self.N - self.N // 2
+
+    def test_gmmn_solve_exits_0(self, tmp_path, capsys):
+        inst = tmp_path / "path.txt"
+        inst.write_text("gmmn-instance 1\n" + "".join(
+            f"pair {p.s.x} {p.s.y} {p.t.x} {p.t.y}\n" for p in self.PAIRS
+        ))
+        sol = tmp_path / "sol.txt"
+        assert main(["solve", "--input", str(inst), "--output", str(sol)]) == 0
+        assert parse_solution(sol.read_text()).total_length == 3 * self.N - self.N // 2

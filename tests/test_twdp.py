@@ -238,3 +238,23 @@ class TestEntryCap:
         with pytest.raises(CandidateCapExceeded, match="4000 entries"):
             solve_twdp(self.INST, entry_cap=3999)
         assert filled == []
+
+    def test_cap_is_checked_from_counts_before_any_enumeration(self, monkeypatch):
+        # A hub with 184 756 staircases on its coarse grid, in a bag with a
+        # neighbour of 10: the largest table would hold 1 847 560 entries.
+        import gmmn.twdp as twdp
+
+        hub = make([
+            ((0, 0), (20, 20)), ((2, 2), (6, 6)), ((8, 12), (12, 8)),
+            ((14, 3), (17, 3)), ((15, 14), (19, 18)), ((-3, 5), (3, 9)),
+        ])
+        enumerated = []
+
+        def recording(*args, **kwargs):
+            enumerated.append(args)
+            raise AssertionError("a candidate was enumerated before the cap check")
+
+        monkeypatch.setattr(twdp, "enumerate_m_paths", recording)
+        with pytest.raises(CandidateCapExceeded, match="1847560 entries"):
+            solve_twdp(hub)
+        assert enumerated == []

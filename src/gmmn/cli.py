@@ -33,8 +33,6 @@ from .geometry import (
     Point,
     TerminalPair,
     build_hanan_grid,
-    edge_length,
-    path_edges,
 )
 from .instance_graph import (
     CYCLE,
@@ -217,14 +215,11 @@ def validate_solution(sol: SolutionFile) -> None:
     """Re-derive the union from the paths and check the stored bookkeeping."""
     inst = instance_from_solution(sol)
     grid = build_hanan_grid(list(inst.pairs))
-    union: set[tuple[Point, Point]] = set()
-    for mp in sol.paths:
-        union.update(path_edges(mp.vertices))
-    if sorted(union) != list(sol.edges):
-        raise FormatError("stored edges differ from the recomputed union")
-    if sum(edge_length(e) for e in union) != sol.total_length:
-        raise FormatError("stored total_length differs from the union length")
     network = GridNetwork.from_paths(list(inst.pairs), list(sol.paths))
+    if sorted(network.union_edges) != list(sol.edges):
+        raise FormatError("stored edges differ from the recomputed union")
+    if network.total_length != sol.total_length:
+        raise FormatError("stored total_length differs from the union length")
     network.validate(grid)
 
 

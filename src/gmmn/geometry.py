@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, CertificateFailed, OverflowRisk
 
@@ -323,26 +323,74 @@ def enumerate_m_paths(
     ti, tj = grid.pos(pair.t)
     di = 1 if ti >= si else -1
 
+    # Depth-first over (row, column, prefix length).  A vertical step keeps
+    # x, so it is lexicographically before the horizontal one: push it last.
     results: list[MPath] = []
-    prefix: list[Point] = [pair.s]
-
-    def extend(i: int, j: int) -> None:
+    prefix: list[Point] = []
+    stack = [(si, sj, 0)]
+    while stack:
+        i, j, depth = stack.pop()
+        del prefix[depth:]
+        prefix.append(grid.vertex(i, j))
         if i == ti and j == tj:
             results.append(MPath(pair.id, tuple(prefix)))
-            return
-        moves: list[tuple[int, int]] = []
-        if i != ti:
-            moves.append((i + di, j))
+            continue
         if j != tj:
-            moves.append((i, j + 1))
-        moves.sort(key=lambda ij: grid.vertex(*ij))
-        for ni, nj in moves:
-            prefix.append(grid.vertex(ni, nj))
-            extend(ni, nj)
-            prefix.pop()
-
-    extend(si, sj)
+            stack.append((i, j + 1, depth + 1))
+        if i != ti:
+            stack.append((i + di, j, depth + 1))
     return results
+
+
+def reflect_y(p: Point) -> Point:
+    return Point(p.x, -p.y)
+
+
+def transpose(p: Point) -> Point:
+    return Point(p.y, p.x)
+
+
+def rotate(p: Point) -> Point:
+    return Point(-p.x, -p.y)
+
+
+@dataclass(frozen=True)
+class Frame:
+    """A coordinate frame: involutive point maps (`reflect_y`, `transpose`,
+    `rotate`) applied in order.  A solver normalizes an instance with
+    `pairs`, works in the frame and maps its paths back with `path_back`."""
+
+    steps: tuple[Callable[[Point], Point], ...] = ()
+
+    def fwd(self, p: Point) -> Point:
+        for step in self.steps:
+            p = step(p)
+        return p
+
+    def back(self, p: Point) -> Point:
+        for step in reversed(self.steps):
+            p = step(p)
+        return p
+
+    @property
+    def inverse(self) -> "Frame":
+        return Frame(self.steps[::-1])
+
+    def pairs(self, pairs: list[TerminalPair]) -> list[TerminalPair]:
+        """The pairs in this frame, renormalized (s.x <= t.x)."""
+        return [TerminalPair.make(p.id, self.fwd(p.s), self.fwd(p.t)) for p in pairs]
+
+    def path_back(self, start: Point, waypoints: Sequence[Point]) -> list[Point]:
+        """Waypoints of a frame path mapped back to the original
+        coordinates and oriented to run from ``start``."""
+        out = [self.back(p) for p in waypoints]
+        if out[0] != start:
+            out.reverse()
+        return out
+
+
+IDENTITY = Frame()
+MIRROR = Frame((reflect_y,))  # across the x-axis: swaps regular and flipped
 
 
 @dataclass(frozen=True)

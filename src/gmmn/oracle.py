@@ -46,35 +46,41 @@ def solve_bruteforce(
         [sorted(path.edges()) for path in paths] for paths in per_pair_paths
     ]
 
+    # Depth-first over the pairs, without recursion: choice[level] is
+    # the path index applied at each level (-1 for none), partial[level]
+    # the union length of the paths above it.
+    n = len(pairs)
     best_total: int | None = None
     best_choice: list[int] = []
-    choice: list[int] = [0] * len(pairs)
+    choice = [-1] * n
+    partial = [0] * n
     refcount: dict[tuple[Point, Point], int] = {}
+    level = 0
+    while level >= 0:
+        edge_lists = per_pair_edges[level]
+        k = choice[level]
+        if k >= 0:
+            for e in edge_lists[k]:
+                refcount[e] -= 1
+        k += 1
+        if k == len(edge_lists):
+            choice[level] = -1
+            level -= 1
+            continue
+        choice[level] = k
+        total = partial[level]
+        for e in edge_lists[k]:
+            c = refcount.get(e, 0)
+            refcount[e] = c + 1
+            if c == 0:
+                total += edge_length(e)
+        if best_total is not None and total >= best_total:
+            continue
+        if level + 1 == n:
+            best_total, best_choice = total, choice[:]
+            continue
+        level += 1
+        partial[level] = total
 
-    def search(idx: int, partial: int) -> None:
-        nonlocal best_total, best_choice
-        if best_total is not None and partial >= best_total:
-            return
-        if idx == len(pairs):
-            best_total = partial
-            best_choice = choice[:]
-            return
-        for path_idx, edges in enumerate(per_pair_edges[idx]):
-            added = 0
-            for e in edges:
-                c = refcount.get(e, 0)
-                refcount[e] = c + 1
-                if c == 0:
-                    added += edge_length(e)
-            choice[idx] = path_idx
-            search(idx + 1, partial + added)
-            for e in edges:
-                c = refcount[e] - 1
-                if c:
-                    refcount[e] = c
-                else:
-                    del refcount[e]
-
-    search(0, 0)
     chosen = [per_pair_paths[i][k] for i, k in enumerate(best_choice)]
     return GridNetwork.certified(pairs, chosen, grid, best_total)

@@ -14,7 +14,8 @@ and the best result is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Optional
 
 from .errors import (
     ForestAssertionFailed,
@@ -26,12 +27,17 @@ from .errors import (
 from .geometry import (
     DEGENERATE,
     FLIPPED,
+    IDENTITY,
+    Frame,
     GridNetwork,
     MPath,
     Point,
     TerminalPair,
     build_hanan_grid,
     densify,
+    reflect_y,
+    rotate,
+    transpose,
 )
 from .instance_graph import (
     ACYCLIC,
@@ -46,13 +52,6 @@ from .tree_dp_fast import solve_tree_fast
 
 HOR = "hor"
 VERT = "vert"
-
-# Involutive coordinate maps used to normalize the chosen cycle pair.
-_TRANSFORMS: dict[str, Callable[[Point], Point]] = {
-    "reflect_y": lambda p: Point(p.x, -p.y),
-    "transpose": lambda p: Point(p.y, p.x),
-    "rotate": lambda p: Point(-p.x, -p.y),
-}
 
 
 @dataclass(frozen=True)
@@ -74,14 +73,13 @@ class PassageTriple:
 class ReductionPlan:
     """Everything needed to enumerate the derived tree instances.
 
-    ``pairs`` is the instance after normalization (the removed pair regular
-    with its window's separating line vertical); ``steps`` lists the applied
-    involutive coordinate maps, newest last.  ``triples`` is empty when the
-    input is already acyclic.
+    ``pairs`` is the instance in ``frame``, which normalizes the removed
+    pair ``v`` (regular, with its window's separating line vertical).
+    ``triples`` is empty when the input is already acyclic.
     """
 
     pairs: tuple[TerminalPair, ...]
-    steps: tuple[str, ...]
+    frame: Frame
     v: Optional[int]
     alpha: int
     beta: int
@@ -89,28 +87,23 @@ class ReductionPlan:
     x_vert: tuple[Point, ...]
     triples: tuple[PassageTriple, ...]
 
+    @cached_property
+    def chain_ids(self) -> list[int]:
+        """The four sub-pairs' ids: ``v``, then three past every pair id."""
+        base = max(p.id for p in self.pairs) + 1
+        return [self.v, base, base + 1, base + 2]
+
+    @cached_property
+    def _removed(self) -> TerminalPair:
+        return next(p for p in self.pairs if p.id == self.v)
+
     def derived_instance(self, triple: PassageTriple) -> list[TerminalPair]:
         """The input with the cycle pair replaced by four chained sub-pairs."""
-        assert self.v is not None
-        pair = next(p for p in self.pairs if p.id == self.v)
-        rest = [p for p in self.pairs if p.id != self.v]
-        base = max(p.id for p in self.pairs) + 1
+        pair = self._removed
         chain = [pair.s, triple.q_minus, triple.q, triple.q_plus, pair.t]
-        ids = [self.v, base, base + 1, base + 2]
-        return rest + [
-            TerminalPair.make(ids[k], chain[k], chain[k + 1]) for k in range(4)
-        ]
-
-
-def _apply(pairs: list[TerminalPair], step: str) -> list[TerminalPair]:
-    f = _TRANSFORMS[step]
-    return [TerminalPair.make(p.id, f(p.s), f(p.t)) for p in pairs]
-
-
-def _invert_point(p: Point, steps: tuple[str, ...]) -> Point:
-    for step in reversed(steps):
-        p = _TRANSFORMS[step](p)
-    return p
+        subs = zip(self.chain_ids, chain, chain[1:])
+        rest = [p for p in self.pairs if p is not pair]
+        return rest + [TerminalPair.make(i, a, b) for i, a, b in subs]
 
 
 def cut_degenerate_cycle(
@@ -158,7 +151,7 @@ def cut_degenerate_cycle(
     return None
 
 
-def _passages_hor(pt, i, j, a, b) -> list[PassageTriple]:
+def _passages_hor(pt, i, j, b) -> list[PassageTriple]:
     if j == b:
         return []
     nxt = pt(i, j + 1)
@@ -172,7 +165,7 @@ def _passages_hor(pt, i, j, a, b) -> list[PassageTriple]:
     return out
 
 
-def _passages_vert(pt, i, j, a, b) -> list[PassageTriple]:
+def _passages_vert(pt, i, j, a) -> list[PassageTriple]:
     if i == a:
         return []
     nxt = pt(i + 1, j)
@@ -194,7 +187,7 @@ def build_reduction_plan(
         ig = build_intersection_graph(pairs)
     pairs = ig.pairs
     if ig.class_tag in ACYCLIC:
-        return ReductionPlan(pairs, (), None, 0, 0, (), (), ())
+        return ReductionPlan(pairs, IDENTITY, None, 0, 0, (), (), ())
     if ig.class_tag not in (CYCLE, TF_PSEUDOTREE):
         if (
             ig.class_tag == GENERAL
@@ -210,20 +203,21 @@ def build_reduction_plan(
     k = next(i for i, w in enumerate(cycle) if pairs[w].orientation != DEGENERATE)
     v, u1, u2 = cycle[k], cycle[k - 1], cycle[(k + 1) % len(cycle)]
 
-    steps: list[str] = []
+    frame = IDENTITY
     cur = list(pairs)
 
-    def step(name: str) -> None:
-        steps.append(name)
-        cur[:] = _apply(cur, name)
+    def step(f) -> None:
+        nonlocal frame
+        frame = Frame(frame.steps + (f,))
+        cur[:] = frame.pairs(pairs)
 
     if pairs[v].orientation == FLIPPED:
-        step("reflect_y")
+        step(reflect_y)
 
     b1, b2 = cur[u1].box, cur[u2].box
     if not (b1.hi.x <= b2.lo.x or b2.hi.x <= b1.lo.x):
         if b1.hi.y <= b2.lo.y or b2.hi.y <= b1.lo.y:
-            step("transpose")
+            step(transpose)
             b1, b2 = cur[u1].box, cur[u2].box
         else:
             raise NotAPseudotree("cycle neighbors are not separable")
@@ -239,13 +233,13 @@ def build_reduction_plan(
         o1 = box.intersect(cur[u1].box)
         o2 = box.intersect(cur[u2].box)
         assert o1 is not None and o2 is not None
-        beta = xs.index(o1.hi.x) + 1
-        alpha = ys.index(min(o1.hi.y, o2.hi.y)) + 1
+        beta = grid.x_index[o1.hi.x] - w.j_lo + 1
+        alpha = grid.y_index[min(o1.hi.y, o2.hi.y)] - w.i_lo + 1
         return xs, ys, alpha, beta
 
     xs, ys, alpha, beta = window()
     if alpha == len(ys) and beta == len(xs):
-        step("rotate")
+        step(rotate)
         u1, u2 = u2, u1
         xs, ys, alpha, beta = window()
         assert not (alpha == len(ys) and beta == len(xs))
@@ -259,11 +253,11 @@ def build_reduction_plan(
     x_vert = tuple(pt(alpha, j) for j in range(1, beta + 1))
     triples: list[PassageTriple] = []
     for i in range(1, alpha + 1):
-        triples.extend(_passages_hor(pt, i, beta, a, b))
+        triples.extend(_passages_hor(pt, i, beta, b))
     for j in range(1, beta + 1):
-        triples.extend(_passages_vert(pt, alpha, j, a, b))
+        triples.extend(_passages_vert(pt, alpha, j, a))
     return ReductionPlan(
-        tuple(cur), tuple(steps), cur[v].id, alpha, beta, x_hor, x_vert, tuple(triples)
+        tuple(cur), frame, cur[v].id, alpha, beta, x_hor, x_vert, tuple(triples)
     )
 
 
@@ -308,23 +302,19 @@ def solve_pseudotree(
         # The two halves cover the split pair's path edge for edge.
         derived, split_id, new_id = cut
         best_net = solve_tree_fast(derived, _assert_forest(derived))
-        chain_ids, steps = [split_id, new_id], ()
+        chain_ids, frame = [split_id, new_id], IDENTITY
     else:
         plan = build_reduction_plan(pairs, ig)
         assert plan.triples, "nondegenerate cycle must yield passage triples"
         derived = [plan.derived_instance(triple) for triple in plan.triples]
         nets = (solve_tree_fast(d, _assert_forest(d)) for d in derived)
         best_net = min(nets, key=lambda net: net.total_length)
-        base = max(p.id for p in plan.pairs) + 1
-        chain_ids, steps = [plan.v, base, base + 1, base + 2], plan.steps
+        chain_ids, frame = plan.chain_ids, plan.frame
 
     paths = [m for m in best_net.paths if m.pair_id not in chain_ids]
     paths.append(_merge_chain(best_net, chain_ids))
-    # Undo the normalization maps on every vertex.
-    final = []
-    for pair, m in zip(pairs, sorted(paths, key=lambda m: m.pair_id)):
-        vs = tuple(_invert_point(p, steps) for p in m.vertices)
-        if vs and vs[0] != pair.s:
-            vs = vs[::-1]
-        final.append(MPath(m.pair_id, densify(grid, list(vs))))
+    final = [
+        MPath(m.pair_id, densify(grid, frame.path_back(pair.s, m.vertices)))
+        for pair, m in zip(pairs, sorted(paths, key=lambda m: m.pair_id))
+    ]
     return GridNetwork.certified(pairs, final, grid, best_net.total_length)

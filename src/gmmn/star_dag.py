@@ -25,19 +25,24 @@ Gadget styles:
 
 The grid arcs are indexed once per DAG, by the position each one enters,
 and every sweep reads that index in one row-major pass (see `AuxDag`).
-The center is assumed non-flipped (callers reflect the y-axis first).
+The center is assumed non-flipped: callers solve a flipped center in the
+`geometry.MIRROR` frame and map its paths back with `Frame.path_back`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .errors import CertificateFailed, Unreachable, WrongClass
 from .geometry import (
     DEGENERATE,
     FLIPPED,
+    IDENTITY,
+    MIRROR,
     REGULAR,
     GridNetwork,
     HananGrid,
@@ -68,6 +73,9 @@ K_BHOR = "bhor"  # boundary arc between hor copies (d_x)
 K_BVERT = "bvert"  # boundary arc between vert copies (d_y)
 K_SAT = "sat"  # zero arc from a hor/vert copy back to the plain vertex
 K_GLUE = "glue"  # zero arc between the two halves of a split corner
+
+# The axis a flipped crossing shares, by the kind of its arcs.
+_AXIS_HINTS = {K_IHOR: "h", K_BHOR: "h", K_IVERT: "v", K_BVERT: "v"}
 
 
 def gamma(orientation: str, p: Point, q: Point) -> int:
@@ -657,78 +665,33 @@ class AuxDag:
         value = lam[nd]
         if value == NEG:
             raise Unreachable("end nodes unreachable from the seed set")
-        # Walk backwards collecting (meta, length, gadget) steps.
-        steps: list[tuple[Optional[int], int, Optional[int], Point]] = []
+        # Walk backwards, one (gadget, length, axis hint, src, dst) per arc;
+        # the zero-length glue and satellite arcs stay at one point and are
+        # dropped, so a crossing is a maximal run of steps in one gadget.
+        steps: list[tuple[Optional[int], int, Optional[str], int, int]] = []
         while not (nd in seeds and lam[nd] == 0):
             s, meta, ln, gadget = self._predecessor(lam, nd)
-            steps.append((meta, ln, gadget, self.node_point(nd)))
+            kind = None
+            if meta is not None:
+                gadget, _, _, kind = self.metas[meta]
+            if kind not in (K_GLUE, K_SAT):
+                steps.append((gadget, ln, _AXIS_HINTS.get(kind), s, nd))
             nd = s
         steps.reverse()
-        start = self.node_point(nd)
 
         crossings: list[Crossing] = []
-        waypoints: list[Point] = [start]
-        open_g: Optional[int] = None
-        open_entry: Optional[Point] = None
-        open_claim = 0
-        open_hint: Optional[str] = None
-        open_exit: Optional[Point] = None
-
-        def close() -> None:
-            nonlocal open_g, open_entry, open_claim, open_hint, open_exit
-            if open_g is None:
-                return
-            assert open_entry is not None and open_exit is not None
-            crossings.append(
-                Crossing(
-                    open_g,
-                    self.gadgets[open_g].pair_id,
-                    open_entry,
-                    open_exit,
-                    open_claim,
-                    open_hint,
-                )
-            )
-            if waypoints[-1] != open_exit:
-                waypoints.append(open_exit)
-            open_g = None
-            open_entry = None
-            open_claim = 0
-            open_hint = None
-            open_exit = None
-
-        for meta, ln, gadget, arrived in steps:
-            if meta is None and gadget is None:
-                # plain grid move
-                close()
-                if waypoints[-1] != arrived:
-                    waypoints.append(arrived)
+        waypoints: list[Point] = [self.node_point(nd)]
+        for g, run in groupby(steps, key=itemgetter(0)):
+            _, lengths, hints, srcs, dsts = zip(*run)
+            if g is None:  # plain grid moves
+                waypoints.extend(map(self.node_point, dsts))
                 continue
-            if meta is None:
-                # re-weighted grid arc inside a degenerate window
-                if open_g != gadget:
-                    close()
-                    open_g = gadget
-                    open_entry = waypoints[-1]
-                    open_exit = waypoints[-1]
-                open_claim += ln
-                open_exit = arrived
-                continue
-            g, p, q, kind = self.metas[meta]
-            if kind in (K_GLUE, K_SAT):
-                continue  # zero-length bookkeeping arc, stay in context
-            if open_g != g:
-                close()
-                open_g = g
-                open_entry = p
-                open_exit = p
-            open_claim += ln
-            open_exit = q
-            if kind in (K_IHOR, K_BHOR):
-                open_hint = "h"
-            elif kind in (K_IVERT, K_BVERT):
-                open_hint = "v"
-        close()
+            # A flipped gadget's arcs all carry an axis hint; no other's do.
+            entry, exit_ = self.node_point(srcs[0]), self.node_point(dsts[-1])
+            crossings.append(Crossing(
+                g, self.gadgets[g].pair_id, entry, exit_, sum(lengths), hints[-1]
+            ))
+            waypoints.append(exit_)
         return value, crossings, waypoints
 
     # ------------------------------------------------------------------
@@ -926,16 +889,9 @@ def build_leaf_gadgets(
     return gadgets
 
 
-def reflect_point(p: Point) -> Point:
-    return Point(p.x, -p.y)
-
-
 def reflect_instance(instance: list[TerminalPair]) -> list[TerminalPair]:
     """Mirror every pair across the x-axis (swaps regular and flipped)."""
-    return [
-        TerminalPair.make(p.id, reflect_point(p.s), reflect_point(p.t))
-        for p in instance
-    ]
+    return MIRROR.pairs(instance)
 
 
 def solve_star(
@@ -945,45 +901,37 @@ def solve_star(
 ) -> GridNetwork:
     """Exact solver for instances whose intersection graph is a star.
 
-    A flipped hub is solved in the mirror image (reflected across the
-    x-axis), where it is regular, and its paths are mapped back.
-    ``simplified=False`` swaps the compact per-orientation gadgets for the
-    generic all-boundary-pairs construction (same answers, more arcs); it
-    exists to cross-check the compact gadgets.
+    A flipped hub is solved in the `MIRROR` frame, where it is regular, and
+    its paths are mapped back.  ``simplified=False`` swaps the compact
+    per-orientation gadgets for the generic all-boundary-pairs construction
+    (same answers, more arcs); it exists to cross-check the compact gadgets.
     """
     if ig is None:
         ig = build_intersection_graph(instance)
     pairs = ig.pairs
     center_idx = pick_center(pairs, ig)
-    grid = build_hanan_grid(pairs)
-    mirrored = pairs[center_idx].orientation == FLIPPED
-    frame = reflect_instance(pairs) if mirrored else pairs
-    frame_grid = build_hanan_grid(frame) if mirrored else grid
-    center = frame[center_idx]
-    leaves = [p for k, p in enumerate(frame) if k != center_idx]
+    frame = MIRROR if pairs[center_idx].orientation == FLIPPED else IDENTITY
+    fpairs = frame.pairs(pairs)
+    frame_grid = build_hanan_grid(fpairs)
+    center = fpairs[center_idx]
+    leaves = [p for k, p in enumerate(fpairs) if k != center_idx]
     gadgets = build_leaf_gadgets(frame_grid, center, leaves, simplified)
     dag = AuxDag(frame_grid, center, gadgets)
     best, crossings, waypoints = dag.witness(dag.forward())
 
-    orientation_of = {p.id: p.orientation for p in frame}
+    orientation_of = {p.id: p.orientation for p in fpairs}
     modes = [crossing_mode(orientation_of[c.pair_id], c) for c in crossings]
-    constraints: dict[int, Optional[tuple[str, tuple[Point, ...]]]] = {}
-    for c, mode in zip(crossings, modes):
-        constraints[c.pair_id] = shared_constraint(mode, c)
+    constraints = {c.pair_id: shared_constraint(m, c) for c, m in zip(crossings, modes)}
     portions = [center_portion(mode, c) for c, mode in zip(crossings, modes)]
 
     center_pts = splice_center(waypoints, crossings, portions)
+    grid = build_hanan_grid(pairs)
     paths: list[MPath] = []
-    for pair, original in zip(frame, pairs):
+    for pair, original in zip(fpairs, pairs):
         if pair.id == center.id:
             pts = center_pts
         else:
             pts = path_through_constraint(pair, constraints.get(pair.id))
-        vertices = densify(frame_grid, pts)
-        if mirrored:
-            vertices = tuple(reflect_point(v) for v in vertices)
-            if vertices[0] != original.s:
-                vertices = vertices[::-1]
-        paths.append(MPath(pair.id, vertices))
+        paths.append(MPath(pair.id, densify(grid, frame.path_back(original.s, pts))))
     expected = sum(p.distance for p in pairs) - best
     return GridNetwork.certified(pairs, paths, grid, expected)

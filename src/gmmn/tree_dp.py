@@ -22,9 +22,10 @@ from typing import Callable, Optional
 
 from .errors import CertificateFailed, WrongClass
 from .geometry import (
-    DEGENERATE,
     FLIPPED,
-    BoundingBox,
+    IDENTITY,
+    MIRROR,
+    Frame,
     GridNetwork,
     HananGrid,
     MPath,
@@ -32,8 +33,6 @@ from .geometry import (
     TerminalPair,
     build_hanan_grid,
     densify,
-    join,
-    meet,
 )
 from .instance_graph import (
     ACYCLIC,
@@ -50,8 +49,6 @@ from .star_dag import (
     default_l_path,
     gadget_style,
     path_through_constraint,
-    reflect_instance,
-    reflect_point,
     shared_constraint,
     splice_center,
 )
@@ -124,21 +121,21 @@ class TreeContext:
     grid: HananGrid
     tree: RootedTree
     tables: dict[int, dict[InOutPair, int]]
-    # reflected? -> (pairs, Hanan grid) in that frame, built on first use
-    views: dict[bool, tuple[list[TerminalPair], HananGrid]] = field(
+    # frame -> (pairs, Hanan grid) in that frame, built on first use
+    views: dict[Frame, tuple[list[TerminalPair], HananGrid]] = field(
         default_factory=dict, repr=False
     )
 
     def children(self, v: int) -> tuple[int, ...]:
         return self.tree.children[v]
 
-    def view(self, reflected: bool) -> tuple[list[TerminalPair], HananGrid]:
-        """The component's pairs and Hanan grid in the identity or the
-        y-reflected frame; every node and cell of one orientation shares it."""
-        if reflected not in self.views:
-            fpairs = reflect_instance(self.pairs) if reflected else self.pairs
-            self.views[reflected] = (fpairs, build_hanan_grid(fpairs))
-        return self.views[reflected]
+    def view(self, frame: Frame) -> tuple[list[TerminalPair], HananGrid]:
+        """The component's pairs and Hanan grid in ``frame``; every node and
+        cell of one orientation shares it."""
+        if frame not in self.views:
+            fpairs = frame.pairs(self.pairs)
+            self.views[frame] = (fpairs, build_hanan_grid(fpairs))
+        return self.views[frame]
 
     def eps_value(self, w: int) -> int:
         return self.tables[w][EPSILON]
@@ -186,27 +183,16 @@ def prepare_tree(
     return ctx
 
 
-@dataclass
-class _Frame:
-    """Per-node coordinate frame (identity or y-reflection)."""
-
-    reflected: bool
-
-    def fwd(self, p: Point) -> Point:
-        return reflect_point(p) if self.reflected else p
-
-    back = fwd  # the reflection is an involution
-
-
 def _build_cell_dag(
     ctx: TreeContext, v: int, inout: InOutPair
-) -> tuple[AuxDag, int, _Frame, str]:
+) -> tuple[AuxDag, int, Frame, Optional[TerminalPair]]:
     """The auxiliary DAG for one table cell, in v's normalized frame.
 
-    Returns (dag, kappa, frame, parent crossing shape).
+    Returns (dag, kappa, frame, parent crossing as a pair in the frame, or
+    None for epsilon).
     """
-    frame = _Frame(ctx.pairs[v].orientation == FLIPPED)
-    fpairs, grid_v = ctx.view(frame.reflected)
+    frame = MIRROR if ctx.pairs[v].orientation == FLIPPED else IDENTITY
+    fpairs, grid_v = ctx.view(frame)
     center = fpairs[v]
 
     gadgets: list[GadgetSpec] = []
@@ -227,15 +213,15 @@ def _build_cell_dag(
         if style is not None:
             gadgets.append(GadgetSpec(w, window, style, weight))
 
-    shape = DEGENERATE
+    parent = None
     if not inout.is_epsilon:
         p_f, q_f = frame.fwd(inout.p), frame.fwd(inout.q)
-        shape = TerminalPair.make(PARENT_GADGET_ID, p_f, q_f).orientation
-        window = grid_v.subgrid(BoundingBox(meet(p_f, q_f), join(p_f, q_f)))
-        style = gadget_style(window, shape, None)
+        parent = TerminalPair.make(PARENT_GADGET_ID, p_f, q_f)
+        window = grid_v.subgrid(parent.box)
+        style = gadget_style(window, parent.orientation, None)
         if style is not None:
             gadgets.append(GadgetSpec(PARENT_GADGET_ID, window, style))
-    return AuxDag(grid_v, center, gadgets), kappa, frame, shape
+    return AuxDag(grid_v, center, gadgets), kappa, frame, parent
 
 
 def compute_dp_cell(ctx: TreeContext, v: int, inout: InOutPair) -> int:
@@ -265,25 +251,17 @@ def _reconstruct(ctx: TreeContext) -> dict[int, list[Point]]:
     decoded = []  # (node, frame, witness waypoints, crossings, portions)
     for v in ctx.tree.preorder:
         inout = keys[v]
-        dag, _, frame, shape = _build_cell_dag(ctx, v, inout)
+        dag, _, frame, parent = _build_cell_dag(ctx, v, inout)
         _, crossings, waypoints = dag.witness(dag.forward())
         # Per crossing, in v's frame; a child's portion is its requirement,
         # known after this pass.
         portions: list[Optional[list[Point]]] = []
         for c in crossings:
             if c.pair_id == PARENT_GADGET_ID:
-                mode = crossing_mode(shape, c)
+                mode = crossing_mode(parent.orientation, c)
                 portions.append(center_portion(mode, c))
-                constraint = shared_constraint(mode, c)
-                pseudo = TerminalPair.make(
-                    PARENT_GADGET_ID, frame.fwd(inout.p), frame.fwd(inout.q)
-                )
-                req_f = path_through_constraint(pseudo, constraint)
-                req = [frame.back(pt) for pt in req_f]
-                canonical = InOutPair.make(inout.p, inout.q)
-                if req[0] != canonical.p:
-                    req.reverse()
-                requirement[v] = req
+                req_f = path_through_constraint(parent, shared_constraint(mode, c))
+                requirement[v] = frame.path_back(inout.p, req_f)
                 continue
             keys[c.pair_id] = InOutPair.make(frame.back(c.entry), frame.back(c.exit))
             portions.append(None)
@@ -300,16 +278,11 @@ def _reconstruct(ctx: TreeContext) -> dict[int, list[Point]]:
         for k, c in enumerate(crossings):
             if portions[k] is not None:
                 continue
-            portion = [frame.fwd(pt) for pt in requirement[c.pair_id]]
-            if portion[0] != c.entry:
-                portion.reverse()
+            portion = frame.inverse.path_back(c.entry, requirement[c.pair_id])
             assert portion[0] == c.entry and portion[-1] == c.exit
             portions[k] = portion
         pts = splice_center(waypoints, crossings, portions)
-        original = [frame.back(pt) for pt in pts]
-        if original[0] != ctx.pairs[v].s:
-            original.reverse()
-        paths[v] = original
+        paths[v] = frame.path_back(ctx.pairs[v].s, pts)
     return paths
 
 

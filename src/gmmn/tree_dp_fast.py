@@ -417,7 +417,7 @@ def fast_node_table(
     u = ctx.tree.parent[v]
     if u is None:
         return table, tags
-    fpairs, _ = ctx.view(frame.reflected)
+    fpairs, _ = ctx.view(frame)
     try:
         descs = classify_inout_case(fpairs[v], fpairs[u], lt.dag.grid)
     except DegenerateHandledElsewhere:

@@ -126,7 +126,6 @@ def _union_length(edge_sets: list[frozenset]) -> int:
 def twdp_node(
     node,
     child_tables: list[TwdpTable],
-    candidates: Sequence[list[MPath]],
     edges: Sequence[list[frozenset]],
     dists: Sequence[int],
 ) -> TwdpTable:
@@ -204,7 +203,7 @@ def solve_twdp(
     tables: dict[int, TwdpTable] = {}
     for node in decomposition.postorder():
         children = [tables[c] for c in node.children]
-        tables[node.id] = twdp_node(node, children, candidates, edges, dists)
+        tables[node.id] = twdp_node(node, children, edges, dists)
     root_table = tables[decomposition.root]
     assert list(root_table.entries) == [()], "root bag must be empty"
     best = root_table.entries[()]

@@ -421,3 +421,16 @@ class TestLongPaths:
         sol = tmp_path / "sol.txt"
         assert main(["solve", "--input", str(inst), "--output", str(sol)]) == 0
         assert parse_solution(sol.read_text()).total_length == 3 * self.N - self.N // 2
+
+    def test_oracle_exits_0_on_a_long_edgeless_instance(self, tmp_path):
+        # One pair of 1200 grid steps and 1199 pairs that touch nothing: one
+        # M-path each, so the oracle's search is as deep as the instance.
+        pairs = [((0, 0), (4800, 0))] + [((4 * i, 5), (4 * i, 6)) for i in range(1, 1200)]
+        inst = tmp_path / "edgeless.txt"
+        inst.write_text("gmmn-instance 1\n" + "".join(
+            f"pair {a[0]} {a[1]} {b[0]} {b[1]}\n" for a, b in pairs
+        ))
+        sol = tmp_path / "sol.txt"
+        args = ["solve", "--algorithm", "oracle", "--input", str(inst), "--output", str(sol)]
+        assert main(args) == 0
+        assert parse_solution(sol.read_text()).total_length == 4800 + 1199

@@ -1,5 +1,6 @@
 """Tests for the geometric primitives."""
 
+import itertools
 import math
 
 import pytest
@@ -8,7 +9,10 @@ from gmmn.errors import CapExceeded, CertificateFailed
 from gmmn.geometry import (
     DEGENERATE,
     FLIPPED,
+    IDENTITY,
+    MIRROR,
     REGULAR,
+    Frame,
     GridNetwork,
     MPath,
     Point,
@@ -21,6 +25,9 @@ from gmmn.geometry import (
     join,
     manhattan_distance,
     meet,
+    reflect_y,
+    rotate,
+    transpose,
     validate_mpath,
 )
 
@@ -120,6 +127,14 @@ class TestMPathEnumeration:
         paths = enumerate_m_paths(grid, pair)
         assert len(paths) == 1
 
+    @pytest.mark.parametrize("a, b", [((0, 0), (3, 2)), ((0, 3), (3, 0)), ((0, 0), (0, 4))])
+    def test_paths_come_in_lexicographic_vertex_order(self, a, b):
+        pair = TerminalPair.make(0, P(*a), P(*b))
+        fillers = [TerminalPair.make(k + 1, P(k, k), P(k, k)) for k in range(4)]
+        paths = enumerate_m_paths(build_hanan_grid([pair] + fillers), pair)
+        assert len(paths) == count_m_paths(build_hanan_grid([pair] + fillers), pair)
+        assert [m.vertices for m in paths] == sorted(m.vertices for m in paths)
+
     def test_cap(self):
         pair = TerminalPair.make(0, P(0, 0), P(30, 30))
         extra = [
@@ -192,3 +207,47 @@ class TestGridNetwork:
         grid = build_hanan_grid(pairs)
         with pytest.raises(ValueError):
             GridNetwork.certified(pairs, [MPath(0, (P(0, 0), P(2, 1)))], grid, 3)
+
+
+# Every step sequence a solver builds: the star and the tree dp use
+# (reflect_y,) or none; the pseudotree reduction applies reflect_y,
+# transpose and rotate in that order, each one or not.
+SOLVER_FRAMES = [
+    Frame(tuple(step for step, used in zip((reflect_y, transpose, rotate), mask) if used))
+    for mask in itertools.product((False, True), repeat=3)
+]
+
+
+class TestFrame:
+    POINTS = [P(0, 0), P(3, -2), P(-5, 7), P(4, 4)]
+
+    @pytest.mark.parametrize("frame", SOLVER_FRAMES)
+    def test_back_inverts_fwd(self, frame):
+        for p in self.POINTS:
+            assert frame.back(frame.fwd(p)) == p
+            assert frame.fwd(frame.back(p)) == p
+            assert frame.inverse.fwd(p) == frame.back(p)
+
+    def test_mirror_is_reflect_y_and_swaps_regular_and_flipped(self):
+        assert MIRROR == Frame((reflect_y,))
+        assert IDENTITY.fwd(P(3, -2)) == P(3, -2)
+        pairs = [
+            TerminalPair.make(0, P(0, 0), P(2, 3)),
+            TerminalPair.make(1, P(0, 3), P(2, 0)),
+            TerminalPair.make(2, P(0, 1), P(4, 1)),
+        ]
+        mirrored = MIRROR.pairs(pairs)
+        assert [p.orientation for p in mirrored] == [FLIPPED, REGULAR, DEGENERATE]
+        assert [p.id for p in mirrored] == [0, 1, 2]
+        assert all(p.s.x <= p.t.x for p in mirrored)
+        assert MIRROR.pairs(mirrored) == pairs
+
+    @pytest.mark.parametrize("frame", SOLVER_FRAMES)
+    def test_path_back_starts_at_start(self, frame):
+        pair = TerminalPair.make(0, P(1, 5), P(4, 2))
+        (framed,) = frame.pairs([pair])
+        waypoints = [framed.s, P(framed.t.x, framed.s.y), framed.t]
+        for start, end in ((pair.s, pair.t), (pair.t, pair.s)):
+            path = frame.path_back(start, waypoints)
+            assert path[0] == start and path[-1] == end
+            assert sorted(path) == sorted(frame.back(p) for p in waypoints)

@@ -4,10 +4,18 @@ The expected optimum values below were produced by running this oracle and
 are frozen so regressions are caught.
 """
 
+import itertools
+
 import pytest
 
 from gmmn.errors import CapExceeded
-from gmmn.geometry import Point, TerminalPair, build_hanan_grid
+from gmmn.geometry import (
+    GridNetwork,
+    Point,
+    TerminalPair,
+    build_hanan_grid,
+    enumerate_m_paths,
+)
 from gmmn.oracle import solve_bruteforce
 
 
@@ -64,3 +72,31 @@ class TestBehavior:
         inst = make([((0, 0), (9, 9)), ((1, 1), (8, 8)), ((2, 2), (7, 7))])
         with pytest.raises(CapExceeded):
             solve_bruteforce(inst, product_cap=10)
+
+
+class TestTieBreak:
+    # Crossing boxes with many optimal networks: the oracle must pick the
+    # smallest tuple of path indices (in pair-id order) among the optima.
+    INSTANCES = [
+        [((0, 0), (3, 3)), ((1, 0), (2, 3)), ((0, 1), (3, 2))],
+        [((0, 0), (4, 2)), ((1, 2), (3, 0)), ((2, 1), (4, 3))],
+        [((0, 3), (3, 0)), ((1, 1), (2, 2)), ((0, 2), (3, 1))],
+    ]
+
+    @pytest.mark.parametrize("specs", INSTANCES)
+    def test_smallest_index_tuple_among_the_optima(self, specs):
+        inst = make(specs)
+        grid = build_hanan_grid(inst)
+        per_pair = [enumerate_m_paths(grid, p) for p in inst]
+        lengths = {
+            choice: GridNetwork.from_paths(
+                inst, [paths[i] for paths, i in zip(per_pair, choice)]
+            ).total_length
+            for choice in itertools.product(*(range(len(ps)) for ps in per_pair))
+        }
+        optimum = min(lengths.values())
+        optima = sorted(c for c, length in lengths.items() if length == optimum)
+        assert len(optima) > 1, "the instance must have several optima"
+        net = solve_bruteforce(inst)
+        assert net.total_length == optimum
+        assert list(net.paths) == [paths[i] for paths, i in zip(per_pair, optima[0])]

@@ -80,7 +80,7 @@ class TestNodeRecursions:
             for pid, cs in cands.items()
         }
         dists = {p.id: p.distance for p in inst}
-        return cands, edges, dists
+        return edges, dists
 
     def test_leaf_is_zero(self):
         inst = make([((0, 0), (2, 2))])
@@ -91,19 +91,19 @@ class TestNodeRecursions:
 
     def test_introduce_of_isolated_pair_adds_distance(self):
         inst = make([((0, 0), (2, 2)), ((10, 0), (13, 2))])
-        cands, edges, dists = self.setup_tables(inst)
+        edges, dists = self.setup_tables(inst)
         decomp = nice_tree_decomposition(build_intersection_graph(inst))
         intro = next(
             n for n in decomp.nodes if n.kind == "introduce" and len(n.bag) == 1
         )
         w = intro.vertex
         child = TwdpTable(-1, {(): 7})
-        table = twdp_node(intro, [child], cands, edges, dists)
+        table = twdp_node(intro, [child], edges, dists)
         assert all(v == 7 + dists[w] for v in table.entries.values())
 
     def test_join_subtracts_the_bag_union(self):
         inst = make([((0, 0), (2, 2)), ((10, 0), (13, 2))])
-        cands, edges, dists = self.setup_tables(inst)
+        edges, dists = self.setup_tables(inst)
 
         class FakeNode:
             id = 99
@@ -118,18 +118,18 @@ class TestNodeRecursions:
         )
         t1 = TwdpTable(0, {key: 10})
         t2 = TwdpTable(1, {key: 12})
-        table = twdp_node(FakeNode(), [t1, t2], cands, edges, dists)
+        table = twdp_node(FakeNode(), [t1, t2], edges, dists)
         assert table.entries == {key: 22 - bag_len}
 
     def test_monotone_in_child_values(self):
         # Inflating child entries never lowers any recomputed entry.
         inst = make([((0, 0), (4, 4)), ((2, 2), (6, 6))])
-        cands, edges, dists = self.setup_tables(inst)
+        edges, dists = self.setup_tables(inst)
         decomp = nice_tree_decomposition(build_intersection_graph(inst))
         tables = {}
         for node in decomp.postorder():
             tables[node.id] = twdp_node(
-                node, [tables[c] for c in node.children], cands, edges, dists
+                node, [tables[c] for c in node.children], edges, dists
             )
         for node in decomp.postorder():
             if not node.children:
@@ -138,7 +138,7 @@ class TestNodeRecursions:
                 TwdpTable(c, {k: v + 3 for k, v in tables[c].entries.items()})
                 for c in node.children
             ]
-            redo = twdp_node(node, bumped, cands, edges, dists)
+            redo = twdp_node(node, bumped, edges, dists)
             for key, val in redo.entries.items():
                 assert val >= tables[node.id].entries[key]
 

@@ -16,7 +16,6 @@ from .geometry import (
     GridNetwork,
     MPath,
     TerminalPair,
-    build_hanan_grid,
     densify,
 )
 from .instance_graph import IntersectionGraph, build_intersection_graph
@@ -81,7 +80,7 @@ def approx_solve(
         ig = build_intersection_graph(instance)
     pairs = ig.pairs
     coloring = greedy_color(ig)
-    grid = build_hanan_grid(pairs)
+    grid = ig.grid
     paths = [
         MPath(pair.id, densify(grid, default_l_path(pair))) for pair in pairs
     ]

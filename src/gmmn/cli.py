@@ -544,10 +544,7 @@ def solve_to_file(
     start = time.perf_counter()
     name, network, ratio, warning = dispatch(pairs, algorithm, cap)
     wall_ms = int((time.perf_counter() - start) * 1000)
-    network.validate(build_hanan_grid(pairs))
-    sol = solution_from_network(network, name, ratio, wall_ms)
-    validate_solution(sol)
-    return sol, warning
+    return solution_from_network(network, name, ratio, wall_ms), warning
 
 
 # ---------------------------------------------------------------------------

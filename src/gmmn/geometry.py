@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, CertificateFailed, OverflowRisk
 
@@ -154,8 +154,14 @@ class HananGrid:
 
     xs: tuple[int, ...]
     ys: tuple[int, ...]
-    x_index: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
-    y_index: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
+    x_index: dict[int, int] = field(repr=False, compare=False)
+    y_index: dict[int, int] = field(repr=False, compare=False)
+
+    @classmethod
+    def from_coords(cls, xs: Iterable[int], ys: Iterable[int]) -> "HananGrid":
+        """The grid of the distinct coordinates, sorted and indexed."""
+        xs, ys = tuple(sorted(set(xs))), tuple(sorted(set(ys)))
+        return cls(xs, ys, {x: j for j, x in enumerate(xs)}, {y: i for i, y in enumerate(ys)})
 
     def vertex(self, i: int, j: int) -> Point:
         """Coordinates of the grid vertex at row i, column j."""
@@ -182,7 +188,7 @@ class HananGrid:
         )
 
 
-def build_hanan_grid(instance: list[TerminalPair]) -> HananGrid:
+def build_hanan_grid(instance: Sequence[TerminalPair]) -> HananGrid:
     """Grid of all vertical/horizontal lines through terminal coordinates."""
     if not instance:
         raise ValueError("instance must contain at least one pair")
@@ -196,14 +202,7 @@ def build_hanan_grid(instance: list[TerminalPair]) -> HananGrid:
                 raise OverflowRisk(f"coordinate too large: {p}")
             xs.add(p.x)
             ys.add(p.y)
-    xs_sorted = tuple(sorted(xs))
-    ys_sorted = tuple(sorted(ys))
-    return HananGrid(
-        xs=xs_sorted,
-        ys=ys_sorted,
-        x_index={x: j for j, x in enumerate(xs_sorted)},
-        y_index={y: i for i, y in enumerate(ys_sorted)},
-    )
+    return HananGrid.from_coords(xs, ys)
 
 
 @dataclass(frozen=True)

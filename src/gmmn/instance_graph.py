@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Optional
 
 from .errors import NotATree, WidthCapExceeded
-from .geometry import TerminalPair
+from .geometry import HananGrid, TerminalPair, build_hanan_grid
 
 EDGELESS = "edgeless"
 STAR = "star"
@@ -42,8 +43,16 @@ class IntersectionGraph:
             raise KeyError(pair_id)
         return k
 
+    @cached_property
+    def grid(self) -> HananGrid:
+        """The Hanan grid of ``pairs``, built on first use."""
+        return build_hanan_grid(self.pairs)
+
     def induced(self, vertices: list[int]) -> IntersectionGraph:
-        """The subgraph on ascending ``vertices``, renumbered in that order."""
+        """The subgraph on ascending ``vertices``, renumbered in that order
+        (the graph itself when ``vertices`` is every vertex)."""
+        if len(vertices) == self.n:
+            return self
         index = {v: k for k, v in enumerate(vertices)}
         adjacency = tuple(
             tuple(index[w] for w in self.adjacency[v] if w in index)
@@ -104,8 +113,12 @@ def boxes_share_grid_edge(u: TerminalPair, v: TerminalPair) -> bool:
 
 
 def build_intersection_graph(instance: list[TerminalPair]) -> IntersectionGraph:
-    """The classified graph of an instance, its vertices in pair-id order."""
+    """The classified graph of an instance, its vertices in pair-id order;
+    raises ValueError when two pairs share an id."""
     pairs = tuple(sorted(instance, key=lambda p: p.id))
+    for a, b in zip(pairs, pairs[1:]):
+        if a.id == b.id:
+            raise ValueError(f"repeated pair id {a.id}")
     n = len(pairs)
     adj: list[set[int]] = [set() for _ in range(n)]
     for a, b in combinations(range(n), 2):
@@ -264,7 +277,7 @@ class NiceTreeDecomposition:
             for v in node.bag:
                 bag_nodes[v].append(node.id)
         for u, v in ig.edges():
-            if not any(u in nodes[t].bag and v in nodes[t].bag for t in range(len(nodes))):
+            if not any(v in nodes[t].bag for t in bag_nodes[u]):
                 raise ValueError(f"edge ({u},{v}) not inside any bag")
         # Connectivity of each vertex's bag-node set.
         parent_of: dict[int, int] = {}

@@ -294,7 +294,6 @@ def solve_pseudotree(
             f"pseudotree solver cannot handle class {ig.class_tag}"
         )
 
-    grid = build_hanan_grid(pairs)
     cycle = find_cycle(ig.adjacency)
 
     cut = cut_degenerate_cycle(pairs, cycle, ig)
@@ -314,7 +313,7 @@ def solve_pseudotree(
     paths = [m for m in best_net.paths if m.pair_id not in chain_ids]
     paths.append(_merge_chain(best_net, chain_ids))
     final = [
-        MPath(m.pair_id, densify(grid, frame.path_back(pair.s, m.vertices)))
+        MPath(m.pair_id, densify(ig.grid, frame.path_back(pair.s, m.vertices)))
         for pair, m in zip(pairs, sorted(paths, key=lambda m: m.pair_id))
     ]
-    return GridNetwork.certified(pairs, final, grid, best_net.total_length)
+    return GridNetwork.certified(pairs, final, ig.grid, best_net.total_length)

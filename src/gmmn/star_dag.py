@@ -912,7 +912,8 @@ def solve_star(
     center_idx = pick_center(pairs, ig)
     frame = MIRROR if pairs[center_idx].orientation == FLIPPED else IDENTITY
     fpairs = frame.pairs(pairs)
-    frame_grid = build_hanan_grid(fpairs)
+    grid = ig.grid
+    frame_grid = grid if frame is IDENTITY else build_hanan_grid(fpairs)
     center = fpairs[center_idx]
     leaves = [p for k, p in enumerate(fpairs) if k != center_idx]
     gadgets = build_leaf_gadgets(frame_grid, center, leaves, simplified)
@@ -925,7 +926,6 @@ def solve_star(
     portions = [center_portion(mode, c) for c, mode in zip(crossings, modes)]
 
     center_pts = splice_center(waypoints, crossings, portions)
-    grid = build_hanan_grid(pairs)
     paths: list[MPath] = []
     for pair, original in zip(fpairs, pairs):
         if pair.id == center.id:

@@ -172,7 +172,8 @@ def prepare_tree(
     if ig is None:
         ig = build_intersection_graph(pairs)
     tree = root_tree(ig)
-    ctx = TreeContext(list(ig.pairs), build_hanan_grid(ig.pairs), tree, {})
+    pairs = list(ig.pairs)
+    ctx = TreeContext(pairs, ig.grid, tree, {}, {IDENTITY: (pairs, ig.grid)})
     for v in tree.postorder:
         table = node_table(ctx, v)
         eps = table[EPSILON]
@@ -304,7 +305,7 @@ def solve_forest(
         raise WrongClass(
             f"tree solver requires an acyclic intersection graph, got {ig.class_tag}"
         )
-    grid = build_hanan_grid(pairs)
+    grid = ig.grid
     paths: list[MPath] = []
     shared = 0
     for comp in ig.components():

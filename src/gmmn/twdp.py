@@ -22,7 +22,6 @@ from .geometry import (
     MPath,
     Point,
     TerminalPair,
-    build_hanan_grid,
     count_m_paths,
     densify,
     edge_length,
@@ -57,7 +56,6 @@ class TwdpTable:
 def candidate_mpaths(
     pairs: list[TerminalPair],
     v: int,
-    grid: Optional[HananGrid] = None,
     ig: Optional[IntersectionGraph] = None,
     cap: int = DEFAULT_ENTRY_CAP,
 ) -> list[MPath]:
@@ -70,17 +68,16 @@ def candidate_mpaths(
     choice; an isolated pair gets exactly its two L-paths (one when
     degenerate).
     """
-    if grid is None:
-        grid = build_hanan_grid(pairs)
     if ig is None:
         ig = build_intersection_graph(pairs)
     k = ig.vertex(v)
-    return _staircases(ig.pairs[k], _coarse_grid(grid, ig, k), grid, cap)
+    return _staircases(ig.pairs[k], _coarse_grid(ig, k), ig.grid, cap)
 
 
-def _coarse_grid(grid: HananGrid, ig: IntersectionGraph, k: int) -> HananGrid:
+def _coarse_grid(ig: IntersectionGraph, k: int) -> HananGrid:
     """Vertex k's coarse grid: its terminals' coordinates plus every
     coordinate of each neighbor's overlap window."""
+    grid = ig.grid
     pair = ig.pairs[k]
     xs = {pair.s.x, pair.t.x}
     ys = {pair.s.y, pair.t.y}
@@ -90,14 +87,7 @@ def _coarse_grid(grid: HananGrid, ig: IntersectionGraph, k: int) -> HananGrid:
         sub = grid.subgrid(window)
         xs.update(grid.xs[j] for j in range(sub.j_lo, sub.j_hi + 1))
         ys.update(grid.ys[i] for i in range(sub.i_lo, sub.i_hi + 1))
-    xs_sorted = tuple(sorted(xs))
-    ys_sorted = tuple(sorted(ys))
-    return HananGrid(
-        xs=xs_sorted,
-        ys=ys_sorted,
-        x_index={x: j for j, x in enumerate(xs_sorted)},
-        y_index={y: i for i, y in enumerate(ys_sorted)},
-    )
+    return HananGrid.from_coords(xs, ys)
 
 
 def _staircases(
@@ -182,11 +172,11 @@ def solve_twdp(
     if ig is None:
         ig = build_intersection_graph(instance)
     pairs = ig.pairs
-    grid = build_hanan_grid(pairs)
+    grid = ig.grid
     decomposition = nice_tree_decomposition(ig)
     decomposition.validate(ig)
 
-    coarse = [_coarse_grid(grid, ig, k) for k in range(ig.n)]
+    coarse = [_coarse_grid(ig, k) for k in range(ig.n)]
     counts = [count_m_paths(c, p) for c, p in zip(coarse, pairs)]
     for node in decomposition.nodes:
         size = prod(counts[v] for v in node.bag)

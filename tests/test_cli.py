@@ -7,10 +7,13 @@ import sys
 import pytest
 
 import gmmn.cli
+import gmmn.geometry
 import gmmn.instance_graph
 from gmmn.cli import (
+    ALGORITHMS,
     BenchReport,
     FormatError,
+    InstanceFile,
     dispatch,
     generate,
     instance_from_solution,
@@ -27,10 +30,11 @@ from gmmn.cli import (
     validate_solution,
 )
 from gmmn.errors import CapExceeded, CertificateFailed, GenerationFailed
-from gmmn.geometry import Point, TerminalPair
+from gmmn.geometry import GridNetwork, Point, TerminalPair
 from gmmn.instance_graph import build_intersection_graph, find_cycle
 from gmmn.oracle import solve_bruteforce
 from gmmn.pseudotree import build_reduction_plan, cut_degenerate_cycle
+from test_golden import CASES
 
 
 def make(specs):
@@ -217,23 +221,35 @@ class TestPairIds:
         assert (got_name, got.total_length, got_ratio) == (name, net.total_length, ratio)
         assert sorted(m.pair_id for m in got.paths) == sorted(p.id for p in shifted)
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_repeated_ids_are_rejected(self, algorithm):
+        pairs = list(generate("tree", 5, 20, 1).pairs)
+        pairs[3] = TerminalPair.make(1, pairs[3].s, pairs[3].t)
+        with pytest.raises(ValueError, match="repeated pair id 1"):
+            dispatch(pairs, algorithm)
 
-@pytest.fixture
-def builds(monkeypatch):
-    """Count intersection-graph builds, in every namespace that binds the builder."""
-    original = gmmn.instance_graph.build_intersection_graph
-    calls = []
 
-    def counting(instance):
-        calls.append(len(instance))
-        return original(instance)
+def recorded(monkeypatch, original):
+    """The results of every call to ``original``, wrapped in every `gmmn`
+    namespace that binds it."""
+    results = []
+
+    def recording(*args):
+        results.append(original(*args))
+        return results[-1]
 
     for name, module in list(sys.modules.items()):
         if module is not None and (name == "gmmn" or name.startswith("gmmn.")):
             for attr, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, counting)
-    return calls
+                    monkeypatch.setattr(module, attr, recording)
+    return results
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Intersection-graph builds, in every namespace that binds the builder."""
+    return recorded(monkeypatch, gmmn.instance_graph.build_intersection_graph)
 
 
 def ring(degenerate):
@@ -282,6 +298,50 @@ class TestBuildsPerSolve:
         builds.clear()
         assert dispatch(pairs)[0] == "pseudotree"
         assert triples > 0 and len(builds) == 1 + triples
+
+
+class TestWorkPerSolve:
+    # golden case -> (Hanan grids built, networks validated) per
+    # `solve_to_file`.  A flipped hub or tree node adds its `MIRROR` frame's
+    # grid; the pseudotree validates its result and each derived forest's.
+    COUNTS = {
+        "star-regular-hub": (1, 1),
+        "star-flipped-hub": (2, 1),
+        "mixed-star": (1, 1),
+        "mixed-star-flipped": (2, 1),
+        "chain-fast": (2, 1),
+        "chain-reference": (2, 1),
+        "caterpillar-fast": (2, 1),
+        "caterpillar-reference": (2, 1),
+        "forest": (5, 1),
+        "degenerate-ring": (3, 2),
+        "passage-triple-ring": (11, 4),
+        "pseudotree": (11, 4),
+        "general-twdp": (1, 1),
+        "general-oracle": (1, 1),
+        "general-approx": (1, 1),
+    }
+
+    def test_counts_name_the_golden_corpus(self):
+        assert sorted(self.COUNTS) == sorted(CASES)
+
+    @pytest.mark.parametrize("case", sorted(COUNTS))
+    def test_grids_and_validations(self, monkeypatch, case):
+        pairs, algorithm, _ = CASES[case]
+        grids = recorded(monkeypatch, gmmn.geometry.build_hanan_grid)
+        validations = []
+        original = GridNetwork.validate
+
+        def validate(network, grid):
+            validations.append(grid)
+            original(network, grid)
+
+        monkeypatch.setattr(GridNetwork, "validate", validate)
+        solve_to_file(InstanceFile(tuple(pairs)), algorithm)
+        assert (len(grids), len(validations)) == self.COUNTS[case]
+        if not case.endswith("ring") and case != "pseudotree":
+            coords = [(g.xs, g.ys) for g in grids]
+            assert len(set(coords)) == len(coords)
 
 
 class TestRender:

@@ -14,6 +14,7 @@ from gmmn.geometry import (
     REGULAR,
     Frame,
     GridNetwork,
+    HananGrid,
     MPath,
     Point,
     TerminalPair,
@@ -93,6 +94,16 @@ class TestHananGrid:
         w = grid.subgrid(pairs[1].box)
         assert (w.a, w.b) == (3, 2)
         assert w.vertex_count == 6
+
+    def test_from_coords_sorts_dedups_and_indexes(self):
+        grid = HananGrid.from_coords([4, 0, 2, 0], {5, -1})
+        assert (grid.xs, grid.ys) == ((0, 2, 4), (-1, 5))
+        assert grid.pos(P(4, -1)) == (0, 2)
+        assert grid.on_grid(P(2, 5)) and not grid.on_grid(P(1, 5))
+
+    def test_a_grid_needs_its_indexes(self):
+        with pytest.raises(TypeError):
+            HananGrid((0, 1), (0, 1))
 
 
 class TestMPathEnumeration:

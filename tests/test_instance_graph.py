@@ -5,17 +5,24 @@ import random
 
 import pytest
 
+import gmmn.instance_graph
 from gmmn.errors import NotATree
-from gmmn.geometry import Point, TerminalPair
+from gmmn.geometry import Point, TerminalPair, build_hanan_grid
 from gmmn.instance_graph import (
     CYCLE,
     EDGELESS,
+    FORGET,
     FOREST,
     GENERAL,
+    INTRODUCE,
+    JOIN,
+    LEAF,
     STAR,
     TF_PSEUDOTREE,
     TREE,
+    DecompNode,
     IntersectionGraph,
+    NiceTreeDecomposition,
     boxes_share_grid_edge,
     build_intersection_graph,
     find_cycle,
@@ -166,3 +173,141 @@ class TestNiceDecomposition:
         dec = nice_tree_decomposition(ig, width_cap=3)
         dec.validate(ig)
         assert dec.width == 1
+
+
+class TestGraphOfPairs:
+    def test_repeated_id_is_rejected(self):
+        inst = [
+            TerminalPair.make(0, Point(0, 0), Point(4, 4)),
+            TerminalPair.make(3, Point(2, 2), Point(6, 6)),
+            TerminalPair.make(3, Point(10, 0), Point(12, 2)),
+        ]
+        with pytest.raises(ValueError, match="repeated pair id 3"):
+            build_intersection_graph(inst)
+
+    def test_grid_is_built_once_on_first_use(self, monkeypatch):
+        calls = []
+
+        def counting(pairs):
+            calls.append(pairs)
+            return build_hanan_grid(pairs)
+
+        monkeypatch.setattr(gmmn.instance_graph, "build_hanan_grid", counting)
+        inst = make([((0, 0), (4, 4)), ((2, 1), (3, 5))])
+        ig = build_intersection_graph(inst)
+        assert calls == []
+        assert ig.grid is ig.grid
+        assert ig.grid == build_hanan_grid(inst)
+        assert len(calls) == 1
+
+    def test_induced_on_every_vertex_is_the_graph_itself(self):
+        inst = make([((0, 0), (4, 4)), ((2, 2), (6, 6)), ((20, 0), (24, 4))])
+        ig = build_intersection_graph(inst)
+        assert ig.induced([0, 1, 2]) is ig
+        sub = ig.induced([0, 1])
+        assert sub.pairs == ig.pairs[:2] and sub.class_tag == STAR
+
+
+def decomposition(specs, root):
+    """Nodes from (kind, bag, children, vertex) tuples, numbered in order."""
+    nodes = tuple(
+        DecompNode(k, kind, frozenset(bag), children, vertex)
+        for k, (kind, bag, children, vertex) in enumerate(specs)
+    )
+    return NiceTreeDecomposition(nodes, root, max(len(n.bag) for n in nodes) - 1)
+
+
+# One edge, 0 - 1: introduce 0, introduce 1, forget 0, forget 1.
+EDGE = IntersectionGraph(2, ((1,), (0,)), TREE)
+VALID = [
+    (LEAF, (), (), None),
+    (INTRODUCE, (0,), (0,), 0),
+    (INTRODUCE, (0, 1), (1,), 1),
+    (FORGET, (1,), (2,), 0),
+    (FORGET, (), (3,), 1),
+]
+
+
+def replaced(k, spec):
+    return VALID[:k] + [spec] + VALID[k + 1:]
+
+
+class TestDecompositionValidation:
+    def test_the_hand_built_decomposition_is_valid(self):
+        decomposition(VALID, 4).validate(EDGE)
+
+    @pytest.mark.parametrize("ig,specs,root,message", [
+        (
+            IntersectionGraph(3, ((1,), (0,), ()), FOREST), VALID, 4,
+            "not all pairs appear in a bag",
+        ),
+        (
+            EDGE,
+            [
+                (LEAF, (), (), None),
+                (INTRODUCE, (0,), (0,), 0),
+                (FORGET, (), (1,), 0),
+                (INTRODUCE, (1,), (2,), 1),
+                (FORGET, (), (3,), 1),
+            ],
+            4,
+            r"edge \(0,1\) not inside any bag",
+        ),
+        (
+            EDGE,
+            VALID[:4] + [
+                (INTRODUCE, (0, 1), (3,), 0),
+                (FORGET, (1,), (4,), 0),
+                (FORGET, (), (5,), 1),
+            ],
+            6,
+            "bags containing pair 0 are not connected",
+        ),
+        (EDGE, VALID[:3], 2, "root bag must be empty"),
+        (
+            EDGE,
+            [
+                (LEAF, (0,), (), None),
+                (INTRODUCE, (0, 1), (0,), 1),
+                (FORGET, (1,), (1,), 0),
+                (FORGET, (), (2,), 1),
+            ],
+            3,
+            "leaf node must be empty",
+        ),
+        (EDGE, replaced(2, (INTRODUCE, (0, 1), (1,), 0)), 4, "introduce node bag mismatch"),
+        (EDGE, replaced(3, (FORGET, (1,), (2,), 1)), 4, "forget node bag mismatch"),
+        (
+            EDGE,
+            VALID[:3] + [
+                (LEAF, (), (), None),
+                (INTRODUCE, (0,), (3,), 0),
+                (JOIN, (0, 1), (2, 4), None),
+                (FORGET, (1,), (5,), 0),
+                (FORGET, (), (6,), 1),
+            ],
+            7,
+            "join node bag mismatch",
+        ),
+        (EDGE, replaced(1, ("grow", (0,), (0,), 0)), 4, "unknown node kind grow"),
+        (
+            # Two forget nodes share one child, so vertex 0's bags stay
+            # connected while it is forgotten twice.
+            IntersectionGraph(1, ((),), EDGELESS),
+            [
+                (LEAF, (), (), None),
+                (INTRODUCE, (0,), (0,), 0),
+                (FORGET, (), (1,), 0),
+                (FORGET, (), (1,), 0),
+                (JOIN, (), (2, 3), None),
+            ],
+            4,
+            "every pair must be forgotten exactly once",
+        ),
+    ], ids=[
+        "vertex-in-no-bag", "edge-in-no-bag", "bags-not-connected", "root-bag",
+        "leaf", "introduce", "forget", "join", "unknown-kind", "forgotten-twice",
+    ])
+    def test_each_failure_is_reported(self, ig, specs, root, message):
+        with pytest.raises(ValueError, match=message):
+            decomposition(specs, root).validate(ig)

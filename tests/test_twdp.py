@@ -70,9 +70,8 @@ class TestCandidates:
 
 class TestNodeRecursions:
     def setup_tables(self, inst):
-        grid = build_hanan_grid(inst)
         ig = build_intersection_graph(inst)
-        cands = {p.id: candidate_mpaths(inst, p.id, grid, ig) for p in inst}
+        cands = {p.id: candidate_mpaths(inst, p.id, ig=ig) for p in inst}
         from gmmn.geometry import path_edges
 
         edges = {
